@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-guard federation-bench-smoke trace-smoke examples-smoke federation-smoke mpc-smoke gym-smoke service-smoke resume-smoke experiments clean-cache
+.PHONY: test bench bench-smoke bench-guard perfbench-smoke federation-bench-smoke trace-smoke examples-smoke federation-smoke mpc-smoke gym-smoke service-smoke resume-smoke experiments clean-cache
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -66,6 +66,11 @@ bench-smoke:
 ## Regression guard against the recorded BENCH_tick.json.
 bench-guard:
 	$(PYTHON) -m pytest benchmarks/test_bench_hotpath.py benchmarks/test_bench_trace.py -q
+
+## The benchmark of record's own tests: every metric printed, checks
+## fire, and the traced path finds each layer entry point it wraps.
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench/tests -q
 
 ## Batched-federation guard: equivalence tests + the federation section
 ## of the perf regression guard (quick-sized fresh measurement).

@@ -267,13 +267,17 @@ class FederationCoordinator:
         # skipped: smoothed demand carries no information yet.
         if tick > 0 and tick % self.eta1 == 0:
             self._rebalance(tick, now)
-        for site in self.sites:
-            site.controller._tick()
+        self._tick_sites(now)
         for site in self.sites:
             site.controller.env.advance(site.config.delta_d)
         self._tick_index += 1
         for hook in self.on_tick:
             hook(self, self._tick_index)
+
+    def _tick_sites(self, now: float) -> None:
+        """Every site's own control tick, site-major in list order."""
+        for site in self.sites:
+            site.controller._tick()
 
     # ----------------------------------------------------------- shifting
     def statuses(self, now: float) -> List[SiteStatus]:

@@ -1,38 +1,24 @@
-"""Federation-wide vectorization: every site's tick in one array sweep.
+"""Federation-wide vectorization: runs of sites ticked as one array sweep.
 
 :class:`BatchedFederationCoordinator` runs the same control system as
 :class:`~repro.federation.coordinator.FederationCoordinator` -- same
 policies, same FFDLR rebalance, same per-site Willow semantics -- but
-batches the per-tick hot path of all sites into one
-:class:`~repro.core.fleet.FederationFleet` struct-of-arrays block:
+ticks each maximal run of consecutive array-capable sites as one
+multi-site :class:`~repro.core.vectorized._Segment`: the same array
+tick a :class:`~repro.core.vectorized.VectorizedWillowController` runs
+for itself, here spanning one shared
+:class:`~repro.core.fleet.FederationFleet` block.
 
-* **One block, level-at-a-time.**  Demand sampling, the Eq. 4 smoothing
-  sweep, the Eq. 2/3 thermal step, serving, and the full Sec. IV-D
-  budget waterfall run as array expressions spanning *every tree of
-  every site at once* (tree levels of different sites concatenate into
-  one fold/one ``allocate_level`` call per level, switch reserves fold
-  over one shared power array).
 * **Segments.**  Sites the array tick cannot model faithfully (a
   non-empty plant-fault schedule, device-class thermal state, a
-  non-generator demand source) keep their scalar controller and tick
-  scalar at their position; the remaining sites form maximal runs of
-  consecutive array-capable sites ("segments") that tick fused.
-* **Deferred scatter.**  The arrays are the truth; per-server and
-  per-VM Python objects are refreshed *lazily*, only at the points
-  scalar code actually reads them (the migration planner, the
-  consolidation pass, priority serving, the federation rebalance) and
-  at the end of the run.  Per-sample metrics dataclasses are queued as
-  per-tick column blocks (:class:`~repro.metrics.columnar.LazyList`)
-  and only materialised if somebody reads them.  Steady-state ticks
-  touch no per-server Python objects at all.
-* **Bit-exact staleness.**  The scalar coordinator ticks sites in list
-  order, so a VM hosted at site ``s`` but *homed* at a later site ``h``
-  is served against last tick's demand (its home generator has not run
-  yet).  The fused tick samples all segment sites up front, eagerly
-  refreshes only exported guests (their host sites read the objects),
-  then restores the stale value onto exactly those late-pair VM objects
-  and re-applies the fresh sample when the segment tick ends --
-  decisions match the scalar coordinator's to the bit.
+  non-generator demand source) keep their own controller and tick at
+  their position; the remaining sites form maximal runs of consecutive
+  array-capable sites ("segments") that tick fused.
+* **Deferred scatter across ticks.**  Unlike a controller's own
+  one-site segment, a batched segment is not flushed at every tick
+  boundary: per-server and per-VM objects are refreshed only where
+  scalar code reads them (the rebalance, ``on_tick`` hooks) and at the
+  end of the run, so steady-state ticks touch no per-server objects.
 * **Array rebalance.**  The Sec. IV-E shed / FFDLR-repack candidate
   search runs on the block arrays (:mod:`repro.binpack.prescreen`):
   masks and exact-key argsorts pick donors and receivers, a verified
@@ -45,11 +31,11 @@ identical decisions and float trajectories to the scalar
 faults and WAN migration costs in play -- bit-exact until the first
 migration reorders a demand sum, ``rtol=1e-12`` after.
 
-When any *site* tracer is enabled the fused tick falls back to
-site-major per-site vectorized ticks (each already bit-exact under
-tracing), so :class:`~repro.trace.tracer.Tracer` frames are identical
-to the scalar coordinator's.  The coordinator-level tracer (site
-grants, federation migrations) works in either mode.
+When any *site* tracer is enabled a segment falls back to site-major
+ticks, each site through its own one-site segment, so
+:class:`~repro.trace.tracer.Tracer` frames are identical to the scalar
+coordinator's.  The coordinator-level tracer (site grants, federation
+migrations) works in either mode.
 """
 
 from __future__ import annotations
@@ -65,926 +51,19 @@ from repro.binpack.prescreen import (
     shed_takes,
     shed_vm_order,
 )
-from repro.core.deficits import power_imbalance
-from repro.core.events import ControlMessage, Drop, MigrationCause
-from repro.core.fleet import (
-    FederationFleet,
-    build_fold_index,
-    fold_segment_sums,
-)
-from repro.core.state import SleepState
-from repro.core.vectorized import (
-    VectorizedWillowController,
-    _SERVE_MARGIN,
-)
+from repro.core.fleet import FederationFleet
+from repro.core.vectorized import VectorizedWillowController, _Segment
 from repro.federation.coordinator import FederationCoordinator, _EPS
 from repro.federation.site import Site
-from repro.metrics.collector import ServerSample, SwitchSample
-from repro.metrics.columnar import LazyList
-from repro.power.budget import LevelIndex, allocate_level
-from repro.thermal.model import temperature_step_arrays
 from repro.workload.generator import DemandGenerator
 
+# The fused tick calls these two through repro.core.vectorized.  They
+# stay bound here because perfbench/spans.py wraps each name in both
+# modules' namespaces when it times the power and thermal layers.
+from repro.power.budget import allocate_level  # noqa: F401
+from repro.thermal.model import temperature_step_arrays  # noqa: F401
+
 __all__ = ["BatchedFederationCoordinator"]
-
-
-# ------------------------------------------------------------ lazy blocks
-def _server_block(now, ids, wall, temps, util, raw, budget, awake):
-    """Materialiser for one site's per-tick server samples."""
-
-    def build():
-        w = wall.tolist()
-        t = temps.tolist()
-        u = util.tolist()
-        r = raw.tolist()
-        b = budget.tolist()
-        a = awake.tolist()
-        return [
-            ServerSample(now, ids[j], w[j], t[j], u[j], r[j], b[j], not a[j])
-            for j in range(len(ids))
-        ]
-
-    return build
-
-
-def _switch_block(now, ids, levels, base, mig, power):
-    """Materialiser for one site's per-tick switch samples."""
-
-    def build():
-        b = base.tolist()
-        m = mig.tolist()
-        p = power.tolist()
-        return [
-            SwitchSample(now, ids[j], levels[j], b[j], m[j], p[j])
-            for j in range(len(ids))
-        ]
-
-    return build
-
-
-def _message_block(now, ids, upward):
-    """Materialiser for one site's per-tick control messages."""
-    return lambda: [ControlMessage(now, c, upward) for c in ids]
-
-
-class _SegLevel:
-    """One tree level, concatenated across every site of a segment."""
-
-    __slots__ = (
-        "parts",
-        "node_gidx",
-        "child_gidx",
-        "pad_idx",
-        "valid",
-        "alloc_index",
-        "reserve_sources",
-        "reserve_rows",
-        "reserve_pad",
-        "reserve_valid",
-        "capacity_mode",
-        "capacity_mask",
-    )
-
-    def __init__(self, parts: List[Tuple[object, object]], node_offsets):
-        # parts: [(controller, per-site _LevelSpec)] in segment order.
-        self.parts = parts
-        node_ids = []
-        child_ids = []
-        sizes = []
-        offsets = []
-        reserve_sources = []
-        mask_pieces = []
-        child_base = 0
-        for ctrl, spec in parts:
-            off = node_offsets[ctrl]
-            node_ids.append(off + spec.node_ids)
-            child_ids.append(off + spec.child_ids)
-            sizes.append(np.diff(np.append(spec.offsets, len(spec.child_ids))))
-            offsets.append(spec.offsets + child_base)
-            child_base += len(spec.child_ids)
-            for switches in spec.site_switches:
-                reserve_sources.append((ctrl, switches))
-            mask_pieces.append(
-                np.full(
-                    len(spec.child_ids),
-                    ctrl.config.allocation_mode == "capacity",
-                )
-            )
-        self.node_gidx = np.concatenate(node_ids)
-        self.child_gidx = np.concatenate(child_ids)
-        all_sizes = np.concatenate(sizes).astype(np.intp)
-        self.pad_idx, self.valid = build_fold_index(all_sizes)
-        self.alloc_index = LevelIndex(
-            np.concatenate(offsets).astype(np.intp), child_base
-        )
-        self.reserve_sources = reserve_sources
-        mask = np.concatenate(mask_pieces)
-        if mask.all() or not mask.any():
-            self.capacity_mode = bool(mask[0]) if len(mask) else False
-            self.capacity_mask = None
-        else:
-            self.capacity_mode = False
-            self.capacity_mask = mask
-
-
-class _Segment:
-    """A maximal run of consecutive array-capable sites, ticked fused."""
-
-    def __init__(
-        self,
-        coordinator: "BatchedFederationCoordinator",
-        entries: List[Tuple[VectorizedWillowController, int, slice]],
-    ):
-        self.coordinator = coordinator
-        self.controllers = [ctrl for ctrl, _idx, _sl in entries]
-        self.global_idx = [idx for _ctrl, idx, _sl in entries]
-        self._seg_pos = {idx: pos for pos, idx in enumerate(self.global_idx)}
-
-        fed = coordinator.fed_fleet
-        start = entries[0][2].start
-        stop = entries[-1][2].stop
-        sl = slice(start, stop)
-        sizes = [ctrl.fleet.n for ctrl in self.controllers]
-        self.n = stop - start
-        bounds = np.concatenate(([0], np.cumsum(sizes)))
-        self.local_slices = [
-            slice(int(bounds[i]), int(bounds[i + 1]))
-            for i in range(len(sizes))
-        ]
-        self.row_site = np.repeat(np.arange(len(sizes)), sizes)
-        self.row_base = bounds[:-1]
-
-        # Block views over the shared federation arrays (basic slices,
-        # so per-site code keeps seeing the same memory).
-        for name in (
-            "static_power",
-            "standby_power",
-            "slope",
-            "t_ambient",
-            "t_limit",
-            "c1",
-            "c2",
-            "decay_tick",
-            "decay_window",
-            "awake",
-            "asleep",
-            "waking",
-            "mig_cost",
-            "budget",
-            "temperature",
-            "raw",
-            "served",
-        ):
-            setattr(self, name, getattr(fed, name)[sl])
-        self.values = fed.smoother_values[sl]
-        self.primed = fed.smoother_primed[sl]
-        self.alpha = fed.alpha[sl]
-
-        # Federation-level node buffers: each site's node-id space maps
-        # to [offset, offset + site._n_nodes).
-        self.node_offsets: Dict[object, int] = {}
-        total = 0
-        for ctrl in self.controllers:
-            self.node_offsets[ctrl] = total
-            total += ctrl._n_nodes
-        self._caps_buf = np.zeros(total)
-        self._budget_buf = np.zeros(total)
-        self._demand_buf = np.zeros(total)
-        self._served_buf = np.zeros(total)
-        self._vm_sums = np.zeros(self.n)
-        self.server_gidx = np.concatenate(
-            [
-                self.node_offsets[ctrl] + ctrl.fleet.node_ids
-                for ctrl in self.controllers
-            ]
-        )
-        self.root_entries = [
-            (
-                ctrl,
-                self.node_offsets[ctrl] + ctrl.tree.root.node_id,
-                ctrl.internals[ctrl.tree.root.node_id],
-            )
-            for ctrl in self.controllers
-        ]
-
-        # Tree levels grouped by height: one fold / one allocate_level
-        # call spans every site that has that level.
-        max_level = max(ctrl.tree.root.level for ctrl in self.controllers)
-        self.levels = [
-            _SegLevel(
-                [
-                    (ctrl, ctrl._levels_up[level - 1])
-                    for ctrl in self.controllers
-                    if level <= ctrl.tree.root.level
-                ],
-                self.node_offsets,
-            )
-            for level in range(1, max_level + 1)
-        ]
-
-        modes = {ctrl.config.thermal_mode for ctrl in self.controllers}
-        self.thermal_mode = modes.pop() if len(modes) == 1 else None
-        caps = [ctrl.fleet.window_caps for ctrl in self.controllers]
-        self._static_caps = (
-            np.concatenate(caps) if all(c is not None for c in caps) else None
-        )
-
-        # --- switch power as one shared array -------------------------
-        # The allocation reserves and the per-tick switch recording read
-        # and write this array; the per-site ``_last_switch_power``
-        # dicts are flushed from it only at scalar sync points.
-        self._sw_slices: List[slice] = []
-        self._sw_meta: List[Tuple[list, list]] = []
-        sw_site_gidx = []
-        sw_red = []
-        sw_static = []
-        sw_wpu = []
-        sw_power = []
-        sw_offsets: Dict[object, int] = {}
-        base_off = 0
-        for ctrl in self.controllers:
-            switches = ctrl._switch_list
-            sw_offsets[ctrl] = base_off
-            self._sw_slices.append(
-                slice(base_off, base_off + len(switches))
-            )
-            base_off += len(switches)
-            self._sw_meta.append(
-                (
-                    [s.switch_id for s in switches],
-                    [s.level for s in switches],
-                )
-            )
-            sw_site_gidx.append(
-                self.node_offsets[ctrl] + ctrl._switch_site_ids
-            )
-            sw_red.append(ctrl._switch_redundancy)
-            model = ctrl.config.switch_model
-            sw_static.append(np.full(len(switches), model.static_power))
-            sw_wpu.append(
-                np.full(len(switches), model.watts_per_unit_traffic)
-            )
-            sw_power.append(
-                np.fromiter(
-                    (
-                        ctrl._last_switch_power[s.switch_id]
-                        for s in switches
-                    ),
-                    float,
-                    len(switches),
-                )
-            )
-        self._sw_site_gidx = np.concatenate(sw_site_gidx)
-        self._sw_red = np.concatenate(sw_red)
-        self._sw_static = np.concatenate(sw_static)
-        self._sw_wpu = np.concatenate(sw_wpu)
-        self._switch_power = np.concatenate(sw_power)
-        self._switch_dict_stale = False
-        self._sw_pos = [
-            {
-                switch_id: sw_offsets[ctrl] + pos
-                for switch_id, pos in ctrl._switch_pos.items()
-            }
-            for ctrl in self.controllers
-        ]
-        # Reserve fold: per level, each node's switch rows in the same
-        # left-to-right order the scalar ``sum()`` walks them.
-        for level in self.levels:
-            rows: List[int] = []
-            rsizes: List[int] = []
-            for ctrl, switches in level.reserve_sources:
-                rsizes.append(len(switches))
-                off = sw_offsets[ctrl]
-                pos = ctrl._switch_pos
-                rows.extend(off + pos[s.switch_id] for s in switches)
-            level.reserve_rows = np.asarray(rows, dtype=np.intp)
-            level.reserve_pad, level.reserve_valid = build_fold_index(
-                np.asarray(rsizes, dtype=np.intp)
-            )
-
-        # --- deferred-scatter bookkeeping -----------------------------
-        k = len(self.controllers)
-        self._dirty_servers = [False] * k
-        self._dirty_vms = [False] * k
-        self._cost_watch = [True] * k
-        self._demands: List[Optional[np.ndarray]] = [None] * k
-        self._plan_vms = [
-            list(ctrl.placement.vms) for ctrl in self.controllers
-        ]
-        self._peak = np.fromiter(
-            (
-                s.thermal.peak
-                for ctrl in self.controllers
-                for s in ctrl.fleet.servers
-            ),
-            float,
-            self.n,
-        )
-        self._viol = np.fromiter(
-            (
-                s.thermal.violations
-                for ctrl in self.controllers
-                for s in ctrl.fleet.servers
-            ),
-            np.int64,
-            self.n,
-        )
-        # Per-site control-message id tuples, in the exact per-site
-        # emission order (levels ascending for demand reports, levels
-        # descending for budget grants).
-        self._up_ids = [
-            tuple(
-                c
-                for spec in ctrl._levels_up
-                for c in spec.child_id_list
-            )
-            for ctrl in self.controllers
-        ]
-        self._down_ids = [
-            tuple(
-                c
-                for spec in reversed(ctrl._levels_up)
-                for c in spec.child_id_list
-            )
-            for ctrl in self.controllers
-        ]
-        # Sample/message lists become lazily-materialised column stores.
-        for ctrl in self.controllers:
-            collector = ctrl.collector
-            if not isinstance(collector.server_samples, LazyList):
-                collector.server_samples = LazyList(
-                    collector.server_samples
-                )
-            if not isinstance(collector.switch_samples, LazyList):
-                collector.switch_samples = LazyList(
-                    collector.switch_samples
-                )
-            if not isinstance(collector.messages, LazyList):
-                collector.messages = LazyList(collector.messages)
-
-    # ---------------------------------------------------------------- gates
-    def tracing_active(self) -> bool:
-        return any(ctrl.tracer.enabled for ctrl in self.controllers)
-
-    def _late_pairs(self) -> list:
-        """Foreign VM objects whose *home* site sits later in this
-        segment than their host: the scalar coordinator would serve
-        them against last tick's demand."""
-        home_of = self.coordinator._vm_home
-        if home_of is None:
-            return []
-        out = []
-        for pos, ctrl in enumerate(self.controllers):
-            if not ctrl._foreign_vms:
-                continue
-            for vm_id, vm in ctrl._foreign_vms.items():
-                h_pos = self._seg_pos.get(home_of.get(vm_id, -1))
-                if h_pos is not None and h_pos > pos:
-                    out.append(vm)
-        return out
-
-    # --------------------------------------------------------------- sync
-    def _flush_servers(self, i: int) -> None:
-        """Scatter site ``i``'s array state back onto its runtimes.
-
-        Position-independent: the block arrays always hold exactly the
-        values an eager tick would have written to the objects by the
-        same point, so scalar readers (planner, consolidation, gather)
-        see identical state.
-        """
-        if not self._dirty_servers[i]:
-            return
-        self._dirty_servers[i] = False
-        sl = self.local_slices[i]
-        raw = self.raw[sl].tolist()
-        smoothed = self.values[sl].tolist()
-        served = self.served[sl].tolist()
-        temps = self.temperature[sl].tolist()
-        peaks = self._peak[sl].tolist()
-        violations = self._viol[sl].tolist()
-        for j, server in enumerate(self.controllers[i].fleet.servers):
-            server.raw_demand = raw[j]
-            server.smoothed_demand = smoothed[j]
-            server.smoother._value = smoothed[j]
-            server.served_power = served[j]
-            thermal = server.thermal
-            thermal.temperature = temps[j]
-            thermal.peak = peaks[j]
-            thermal.violations = violations[j]
-
-    def _flush_vms(self, i: int) -> None:
-        """Write site ``i``'s home-VM demand objects from the last
-        sample.  Exported guests are skipped: they were refreshed
-        eagerly at sample time and may carry a deliberate stale value
-        (late-pair staleness) that must survive the flush."""
-        if not self._dirty_vms[i]:
-            return
-        self._dirty_vms[i] = False
-        demands = self._demands[i]
-        if demands is None:
-            return
-        ctrl = self.controllers[i]
-        values = demands.tolist()
-        vms = self._plan_vms[i]
-        if ctrl._away_count:
-            away = ctrl._vm_away.tolist()
-            for r, vm in enumerate(vms):
-                if not away[r]:
-                    vm.current_demand = values[r]
-        else:
-            for vm, value in zip(vms, values):
-                vm.current_demand = value
-
-    def _flush_switch_dict(self) -> None:
-        if not self._switch_dict_stale:
-            return
-        self._switch_dict_stale = False
-        power = self._switch_power.tolist()
-        for i, ctrl in enumerate(self.controllers):
-            last = ctrl._last_switch_power
-            sl = self._sw_slices[i]
-            for switch_id, value in zip(
-                self._sw_meta[i][0], power[sl.start : sl.stop]
-            ):
-                last[switch_id] = value
-
-    def flush(self) -> None:
-        """Make every runtime object current (end of run / fallback)."""
-        for i in range(len(self.controllers)):
-            self._flush_servers(i)
-            self._flush_vms(i)
-        self._flush_switch_dict()
-
-    def sync_site(self, i: int) -> None:
-        """Refresh one site's objects for an external scalar reader."""
-        self._flush_servers(i)
-        self._flush_vms(i)
-
-    def _adopt_object_state(self) -> None:
-        """Re-adopt object state after per-site scalar ticks ran.
-
-        The per-site fleets alias the federation block, so the float
-        arrays are already current; only the deferral side-cars (peak,
-        violations, switch powers) need re-reading.
-        """
-        self._peak = np.fromiter(
-            (
-                s.thermal.peak
-                for ctrl in self.controllers
-                for s in ctrl.fleet.servers
-            ),
-            float,
-            self.n,
-        )
-        self._viol = np.fromiter(
-            (
-                s.thermal.violations
-                for ctrl in self.controllers
-                for s in ctrl.fleet.servers
-            ),
-            np.int64,
-            self.n,
-        )
-        self._switch_power = np.concatenate(
-            [
-                np.fromiter(
-                    (
-                        ctrl._last_switch_power[s.switch_id]
-                        for s in ctrl._switch_list
-                    ),
-                    float,
-                    len(ctrl._switch_list),
-                )
-                for ctrl in self.controllers
-            ]
-        )
-        self._switch_dict_stale = False
-        for i in range(len(self.controllers)):
-            self._dirty_servers[i] = False
-            self._dirty_vms[i] = False
-            self._demands[i] = None
-            self._cost_watch[i] = True
-
-    def scalar_tick(self) -> None:
-        """Site-major fallback (tracing): flush, tick each site's own
-        vectorized tick, and re-adopt the object state."""
-        self.flush()
-        for ctrl in self.controllers:
-            ctrl._tick()
-        self._adopt_object_state()
-
-    def note_cost_activity(self, i: int) -> None:
-        """A migration cost was charged on site ``i``'s servers."""
-        self._cost_watch[i] = True
-
-    # ----------------------------------------------------------------- tick
-    def tick(self, now: float) -> None:
-        ctrls = self.controllers
-
-        # 0. housekeeping: sparse scans instead of per-server loops.
-        # Sleep transitions come straight off the block's awake lanes;
-        # pending migration costs are watched per site (the watch is
-        # armed by every path that charges a cost and disarmed when a
-        # scan finds nothing left).
-        for i, ctrl in enumerate(ctrls):
-            ctrl._tick_migration_traffic = {}
-            fleet = ctrl.fleet
-            if self._cost_watch[i]:
-                costs_dirty = False
-                pending_left = False
-                for server in fleet.servers:
-                    if server._pending_costs:
-                        server.expire_costs()
-                        costs_dirty = True
-                        if server._pending_costs:
-                            pending_left = True
-                if costs_dirty:
-                    fleet.gather_costs()
-                self._cost_watch[i] = pending_left
-            sl = self.local_slices[i]
-            if not bool(self.awake[sl].all()):
-                servers = fleet.servers
-                for r in np.nonzero(~self.awake[sl])[0].tolist():
-                    servers[r].tick_wake()
-                fleet.gather_sleep()
-            ctrl._begin_tick(now)
-
-        # 1. sample every site's demand in site order.  The arrays stay
-        # authoritative; only exported guests (read as objects by their
-        # host sites) are refreshed eagerly, and late-pair guests get
-        # the stale value back (their home generator would not have run
-        # yet under site-major execution).
-        late = self._late_pairs()
-        stale_vals = [vm.current_demand for vm in late]
-        demands: List[Optional[np.ndarray]] = []
-        for i, ctrl in enumerate(ctrls):
-            sample = ctrl._sample_vm_demands(write_objects=False)
-            demands.append(sample)
-            self._demands[i] = sample
-            self._dirty_vms[i] = sample is not None
-            if sample is not None and ctrl._away_count:
-                vms = self._plan_vms[i]
-                rows = np.nonzero(ctrl._vm_away)[0]
-                for r, value in zip(
-                    rows.tolist(), sample[rows].tolist()
-                ):
-                    vms[r].current_demand = value
-        fresh_vals = [vm.current_demand for vm in late]
-        for vm, stale in zip(late, stale_vals):
-            vm.current_demand = stale
-
-        # 2. per-host sums, raw wall demand and Eq. 4 over the block.
-        vm_sums = self._vm_sums
-        for i, ctrl in enumerate(ctrls):
-            vm_sums[self.local_slices[i]] = ctrl._host_demand_sums(demands[i])
-        raw = np.where(
-            self.asleep,
-            self.standby_power,
-            np.where(
-                self.waking,
-                self.static_power,
-                self.static_power + vm_sums + self.mig_cost,
-            ),
-        )
-        # VectorSmoother.update with a per-lane alpha: the same IEEE-754
-        # expression per lane, sites with different alphas included.
-        smoothed_expr = self.alpha * raw + (1.0 - self.alpha) * self.values
-        fresh = np.where(self.primed, smoothed_expr, raw)
-        mask = ~self.waking
-        np.copyto(self.values, fresh, where=mask)
-        self.primed |= mask
-        smoothed = self.values
-        self.raw[...] = raw
-        for i in range(len(ctrls)):
-            self._dirty_servers[i] = True
-        self._aggregate_demands(now)
-
-        # 3. the budget waterfall, one allocate_level call per level
-        # across every site (the coordinator validates a shared eta1,
-        # and segment members share the base cadence rule).
-        if ctrls[0]._allocation_due():
-            self._allocate_budgets(now)
-            self.budget[...] = self._budget_buf[self.server_gidx]
-
-        # 4. per-site demand migrations (planner state is per site).
-        moved = [False] * len(ctrls)
-        for i, ctrl in enumerate(ctrls):
-            sl = self.local_slices[i]
-            deficient = self.awake[sl] & (raw[sl] > self.budget[sl] + _EPS)
-            if not bool(deficient.any()):
-                continue
-            # The planner walks runtime objects (raw demand, budgets,
-            # VM demands): refresh this site before handing over.
-            self._flush_servers(i)
-            self._flush_vms(i)
-            plan = ctrl._plan_demand_migrations(raw[sl], smoothed[sl])
-            if plan is not None:
-                ctrl._execute_moves(plan.moves, MigrationCause.DEMAND, now)
-                moved[i] = bool(plan.moves)
-                for vm, node in plan.dropped:
-                    ctrl.collector.record_unmatched(
-                        Drop(now, node.node_id, vm.vm_id, vm.current_demand)
-                    )
-
-        # 5. per-site consolidation on each site's own eta2 cadence.
-        for i, ctrl in enumerate(ctrls):
-            if (
-                ctrl._tick_index > 0
-                and ctrl._tick_index % ctrl.config.eta2 == 0
-            ):
-                # Consolidation reads and mutates the objects, then
-                # gather() re-adopts them into the arrays wholesale.
-                self._flush_servers(i)
-                self._flush_vms(i)
-                n_migrations = len(ctrl.collector.migrations)
-                ctrl._consolidate(now)
-                moved[i] = (
-                    moved[i]
-                    or len(ctrl.collector.migrations) > n_migrations
-                )
-                ctrl.fleet.gather()
-                self._dirty_servers[i] = False
-            if moved[i]:
-                vm_sums[self.local_slices[i]] = ctrl._host_demand_sums(
-                    demands[i]
-                )
-                ctrl.fleet.gather_costs()
-                self._cost_watch[i] = True
-
-        # 6. serve power within budget across the whole block.
-        available = np.maximum(
-            self.budget - self.static_power - self.mig_cost, 0.0
-        )
-        fast = self.awake & (available >= vm_sums + _SERVE_MARGIN)
-        served = np.where(fast, vm_sums, 0.0)
-        slow_rows = np.nonzero(self.awake & ~fast)[0]
-        if len(slow_rows):
-            available_list = available.tolist()
-            for r in slow_rows.tolist():
-                i = int(self.row_site[r])
-                ctrl = ctrls[i]
-                self._flush_vms(i)  # priority serving reads VM objects
-                served[r] = ctrl._serve_scalar(
-                    ctrl.fleet.servers[r - int(self.row_base[i])],
-                    available_list[r],
-                    now,
-                )
-        self.served[...] = served
-
-        # 7. thermal update (Eq. 2/3) over the block, then samples.
-        wall = np.where(
-            self.asleep,
-            self.standby_power,
-            np.where(
-                self.waking,
-                self.static_power,
-                self.static_power + served,
-            ),
-        )
-        if self.thermal_mode == "window_reset":
-            temps = temperature_step_arrays(
-                self.t_ambient,
-                wall,
-                t_ambient=self.t_ambient,
-                c1=self.c1,
-                c2=self.c2,
-                decay=self.decay_window,
-            )
-            violations = temps > self.t_limit + 1e-6
-        elif self.thermal_mode == "integrated":
-            temps = temperature_step_arrays(
-                self.temperature,
-                wall,
-                t_ambient=self.t_ambient,
-                c1=self.c1,
-                c2=self.c2,
-                decay=self.decay_tick,
-            )
-            violations = temps > self.t_limit + 1e-9
-        else:  # mixed thermal modes: per-site sub-sweeps
-            temps = np.empty(self.n)
-            violations = np.empty(self.n, dtype=bool)
-            for i, ctrl in enumerate(ctrls):
-                sl = self.local_slices[i]
-                fleet = ctrl.fleet
-                if ctrl.config.thermal_mode == "window_reset":
-                    temps[sl] = temperature_step_arrays(
-                        fleet.t_ambient,
-                        wall[sl],
-                        t_ambient=fleet.t_ambient,
-                        c1=fleet.c1,
-                        c2=fleet.c2,
-                        decay=fleet.decay_window,
-                    )
-                    violations[sl] = temps[sl] > fleet.t_limit + 1e-6
-                else:
-                    temps[sl] = temperature_step_arrays(
-                        fleet.temperature,
-                        wall[sl],
-                        t_ambient=fleet.t_ambient,
-                        c1=fleet.c1,
-                        c2=fleet.c2,
-                        decay=fleet.decay_tick,
-                    )
-                    violations[sl] = temps[sl] > fleet.t_limit + 1e-9
-        self.temperature[...] = temps
-        utilization = np.where(
-            self.awake, np.minimum(served / self.slope, 1.0), 0.0
-        )
-        np.maximum(self._peak, temps, out=self._peak)
-        self._viol += violations
-        # One queued column block per site; ServerSample objects only
-        # materialise if somebody reads the list.  budget/awake mutate
-        # across ticks, so those two columns are snapshotted.
-        budget_copy = self.budget.copy()
-        awake_copy = self.awake.copy()
-        for i, ctrl in enumerate(ctrls):
-            sl = self.local_slices[i]
-            ctrl.collector.server_samples.push_block(
-                _server_block(
-                    now,
-                    ctrl._server_ids,
-                    wall[sl],
-                    temps[sl],
-                    utilization[sl],
-                    raw[sl],
-                    budget_copy[sl],
-                    awake_copy[sl],
-                )
-            )
-            self._dirty_servers[i] = True
-
-        # 8+9. switch power and level-0 imbalance.
-        if any(ctrl.ipc_graph is not None for ctrl in ctrls):
-            # IPC paths need the per-site dict-based bookkeeping.
-            for ctrl in ctrls:
-                ctrl._record_switches(now)
-            self._adopt_switch_power()
-        else:
-            self._record_switches_fused(now)
-        for i, ctrl in enumerate(ctrls):
-            ctrl.collector.record_imbalance(
-                now,
-                power_imbalance(raw[self.local_slices[i]], ctrl.fleet.budget),
-            )
-        for i, ctrl in enumerate(ctrls):
-            if ctrl.on_tick:
-                self._flush_servers(i)
-                self._flush_vms(i)
-                for hook in ctrl.on_tick:
-                    hook(ctrl, ctrl._tick_index, now)
-                self._dirty_servers[i] = True
-            ctrl._tick_index += 1
-
-        # The segment is done reading: late-pair guests now carry the
-        # demand their home generator sampled this tick, exactly the
-        # state site-major execution leaves behind.
-        for vm, value in zip(late, fresh_vals):
-            vm.current_demand = value
-
-    # ------------------------------------------------------- demand reports
-    def _aggregate_demands(self, now: float) -> None:
-        """Bottom-up Eq. 4 propagation, one fold per level across all
-        segment sites at once (groups are independent, so concatenating
-        sites preserves each per-node left-to-right fold)."""
-        below = self._demand_buf
-        below[self.server_gidx] = self.values
-        for level in self.levels:
-            totals = fold_segment_sums(
-                below[level.child_gidx], level.pad_idx, level.valid
-            )
-            total_list = totals.tolist()
-            k = 0
-            for ctrl, spec in level.parts:
-                for runtime in spec.runtimes:
-                    runtime.observe_demand(total_list[k])
-                    k += 1
-            below[level.node_gidx] = np.fromiter(
-                (
-                    r.smoothed_demand
-                    for _ctrl, spec in level.parts
-                    for r in spec.runtimes
-                ),
-                float,
-                len(level.node_gidx),
-            )
-        for i, ctrl in enumerate(self.controllers):
-            ctrl.collector.messages.push_block(
-                _message_block(now, self._up_ids[i], True)
-            )
-
-    # ------------------------------------------------------------ switches
-    def _record_switches_fused(self, now: float) -> None:
-        """Scalar ``_record_switches`` across every site at once: one
-        served-power fold per level, one linear power expression over
-        the shared switch array, lazily-queued samples."""
-        below = self._served_buf
-        below[self.server_gidx] = self.served
-        for level in self.levels:
-            below[level.node_gidx] = fold_segment_sums(
-                below[level.child_gidx], level.pad_idx, level.valid
-            )
-        base = below[self._sw_site_gidx] / self._sw_red
-        migration = np.zeros(len(base))
-        for i, ctrl in enumerate(self.controllers):
-            traffic = ctrl._tick_migration_traffic
-            if traffic:
-                pos = self._sw_pos[i]
-                for switch_id, extra in traffic.items():
-                    migration[pos[switch_id]] += extra
-        power = self._sw_static + self._sw_wpu * (base + migration)
-        self._switch_power = power
-        self._switch_dict_stale = True
-        for i, ctrl in enumerate(self.controllers):
-            sl = self._sw_slices[i]
-            ids, levels = self._sw_meta[i]
-            ctrl.collector.switch_samples.push_block(
-                _switch_block(
-                    now,
-                    ids,
-                    levels,
-                    base[sl],
-                    migration[sl],
-                    power[sl],
-                )
-            )
-
-    def _adopt_switch_power(self) -> None:
-        """Per-site recording just ran: re-read the power dicts."""
-        self._switch_power = np.concatenate(
-            [
-                np.fromiter(
-                    (
-                        ctrl._last_switch_power[s.switch_id]
-                        for s in ctrl._switch_list
-                    ),
-                    float,
-                    len(ctrl._switch_list),
-                )
-                for ctrl in self.controllers
-            ]
-        )
-        self._switch_dict_stale = False
-
-    # --------------------------------------------------------- supply side
-    def _hard_caps(self) -> np.ndarray:
-        if self._static_caps is not None:
-            return self._static_caps
-        return np.concatenate(
-            [ctrl.fleet.hard_caps() for ctrl in self.controllers]
-        )
-
-    def _allocate_budgets(self, now: float) -> None:
-        """The Sec. IV-D waterfall, level-at-a-time across all sites."""
-        caps = self._caps_buf
-        caps[self.server_gidx] = self._hard_caps()
-        for level in self.levels:
-            caps[level.node_gidx] = fold_segment_sums(
-                caps[level.child_gidx], level.pad_idx, level.valid
-            )
-
-        budgets = self._budget_buf
-        for ctrl, root_gid, runtime in self.root_entries:
-            ctrl.root_budget = ctrl.supply.at(now)
-            runtime.set_budget(min(ctrl.root_budget, caps[root_gid]))
-            budgets[root_gid] = runtime.budget
-
-        for level in reversed(self.levels):
-            reserves = fold_segment_sums(
-                self._switch_power[level.reserve_rows],
-                level.reserve_pad,
-                level.reserve_valid,
-            )
-            parent_budget = np.maximum(
-                budgets[level.node_gidx] - reserves, 0.0
-            )
-            child_caps = caps[level.child_gidx]
-            if level.capacity_mask is None:
-                weights = (
-                    child_caps
-                    if level.capacity_mode
-                    else self._demand_buf[level.child_gidx]
-                )
-            else:
-                weights = np.where(
-                    level.capacity_mask,
-                    child_caps,
-                    self._demand_buf[level.child_gidx],
-                )
-            allocations, _unused = allocate_level(
-                parent_budget, weights, child_caps, index=level.alloc_index
-            )
-            budgets[level.child_gidx] = allocations
-            allocation_list = allocations.tolist()
-            k = 0
-            for ctrl, spec in level.parts:
-                for runtime in spec.child_runtimes:
-                    runtime.set_budget(allocation_list[k])
-                    k += 1
-        for i, ctrl in enumerate(self.controllers):
-            ctrl.collector.messages.push_block(
-                _message_block(now, self._down_ids[i], False)
-            )
 
 
 class BatchedFederationCoordinator(FederationCoordinator):
@@ -1009,53 +88,34 @@ class BatchedFederationCoordinator(FederationCoordinator):
         #: bookkeeping once guests exist).
         self._vm_home: Optional[Dict[int, int]] = None
 
-        runs: List[List[int]] = []
+        # Maximal runs of consecutive fusable sites become segments;
+        # every other site ticks through its own controller in place.
         plan: List[object] = []
-        run: List[int] = []
-        for idx, site in enumerate(self.sites):
-            if self._fusable(site):
-                run.append(idx)
-            else:
-                if run:
-                    runs.append(run)
-                    plan.append(run)
-                    run = []
+        for site in self.sites:
+            if not self._fusable(site):
                 plan.append(site)
-        if run:
-            runs.append(run)
-            plan.append(run)
-
-        fused_idx = [i for r in runs for i in r]
-        if fused_idx:
-            self.fed_fleet: Optional[FederationFleet] = FederationFleet(
-                [self.sites[i].controller.fleet for i in fused_idx]
-            )
-            block_slice = {
-                i: self.fed_fleet.site_slices[k]
-                for k, i in enumerate(fused_idx)
-            }
-        else:
-            self.fed_fleet = None
-        self._plan: List[object] = []
-        self.segments: List[_Segment] = []
+            elif plan and isinstance(plan[-1], list):
+                plan[-1].append(site.controller)
+            else:
+                plan.append([site.controller])
+        fused = [ctrl for part in plan if isinstance(part, list) for ctrl in part]
+        self.fed_fleet: Optional[FederationFleet] = (
+            FederationFleet([ctrl.fleet for ctrl in fused]) if fused else None
+        )
+        self._plan: List[object] = [
+            _Segment(part, self) if isinstance(part, list) else part
+            for part in plan
+        ]
+        self.segments: List[_Segment] = [
+            part for part in self._plan if isinstance(part, _Segment)
+        ]
         #: controller -> (owning segment, position inside it), for the
         #: rebalance path to flush deferred state on demand.
-        self._seg_of_ctrl: Dict[object, Tuple[_Segment, int]] = {}
-        for part in plan:
-            if isinstance(part, list):
-                segment = _Segment(
-                    self,
-                    [
-                        (self.sites[i].controller, i, block_slice[i])
-                        for i in part
-                    ],
-                )
-                self.segments.append(segment)
-                self._plan.append(segment)
-                for pos, ctrl in enumerate(segment.controllers):
-                    self._seg_of_ctrl[ctrl] = (segment, pos)
-            else:
-                self._plan.append(part)
+        self._seg_of_ctrl: Dict[object, Tuple[_Segment, int]] = {
+            ctrl: (segment, pos)
+            for segment in self.segments
+            for pos, ctrl in enumerate(segment.controllers)
+        }
 
     @staticmethod
     def _fusable(site: Site) -> bool:
@@ -1086,25 +146,20 @@ class BatchedFederationCoordinator(FederationCoordinator):
         return result
 
     # ----------------------------------------------------------------- tick
-    def _tick(self) -> None:
-        tick = self._tick_index
-        now = tick * self.delta_d
-        if tick > 0 and tick % self.eta1 == 0:
-            self._rebalance(tick, now)
+    def _tick_sites(self, now: float) -> None:
         for part in self._plan:
-            if isinstance(part, _Segment):
-                if part.tracing_active():
-                    # Site tracing needs the per-site frame order; each
-                    # per-site vectorized tick is already bit-exact
-                    # under tracing, so fall back to site-major.
-                    part.scalar_tick()
-                else:
-                    part.tick(now)
-            else:
+            if not isinstance(part, _Segment):
                 part.controller._tick()
-        for site in self.sites:
-            site.controller.env.advance(site.config.delta_d)
-        self._tick_index += 1
+            elif part.tracing_active():
+                # Site tracing needs the per-site frame order: fall
+                # back to site-major ticks through one-site segments.
+                part.scalar_tick()
+            else:
+                part.tick(now)
+        if self.on_tick:
+            # Coordinator hooks run between ticks and read the objects.
+            for segment in self.segments:
+                segment.flush()
 
     # ----------------------------------------------------------- rebalance
     def _shed_candidates(
@@ -1262,12 +317,6 @@ class BatchedFederationCoordinator(FederationCoordinator):
         super()._move_vm(
             vm, src_site, src_node, dst_site, dst_node, now, **kw
         )
-        # WAN costs were charged on both endpoints: arm the sparse
-        # housekeeping watch so the next fused tick expires them.
-        for endpoint in (src_site, dst_site):
-            entry = self._seg_of_ctrl.get(endpoint.controller)
-            if entry is not None:
-                entry[0].note_cost_activity(entry[1])
 
     # ------------------------------------------------------------ snapshot
     def fleet_snapshot(self) -> Dict[str, Dict[str, float]]:

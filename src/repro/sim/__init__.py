@@ -22,15 +22,13 @@ broken FIFO by insertion order).
 from repro.sim.core import Environment, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import Container, Request, Resource, Store
+from repro.sim.resources import Request, Resource
 from repro.sim.rng import RandomStreams
 
 __all__ = [
     "AllOf",
-    "Container",
     "Request",
     "Resource",
-    "Store",
     "AnyOf",
     "Environment",
     "Event",

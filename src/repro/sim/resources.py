@@ -1,27 +1,21 @@
-"""Shared-resource primitives for the DES kernel.
+"""Shared-resource primitive for the DES kernel.
 
-Standard discrete-event building blocks in the SimPy idiom:
-
-* :class:`Resource` -- a counted semaphore; processes ``yield
-  resource.request()``, hold a slot, and ``release`` it (or use the
-  request as a context manager).
-* :class:`Container` -- a continuous quantity (energy in a battery,
-  watts in a budget) with ``put``/``get`` that block until satisfiable.
-* :class:`Store` -- a FIFO of Python objects with blocking ``get``.
-
-These are used by the queueing examples and available to downstream
-users modelling, e.g., per-server admission queues or UPS batteries.
+In the SimPy idiom, :class:`Resource` is a counted semaphore:
+processes ``yield resource.request()``, hold a slot, and ``release``
+it (or use the request as a context manager).
+:func:`repro.qos.queueing.simulate_mm1` models its M/M/1 server with
+it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, List, Optional
+from typing import Deque, List
 
 from repro.sim.core import Environment
 from repro.sim.events import Event
 
-__all__ = ["Resource", "Request", "Container", "Store"]
+__all__ = ["Resource", "Request"]
 
 
 class Request(Event):
@@ -88,102 +82,3 @@ class Resource:
             self._holders.append(nxt)
             nxt.succeed(nxt)
 
-
-class Container:
-    """A continuous quantity with blocking put/get."""
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        initial: float = 0.0,
-    ):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        if not 0.0 <= initial <= capacity:
-            raise ValueError("initial level must lie in [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self.level = float(initial)
-        self._getters: Deque[tuple] = deque()  # (amount, event)
-        self._putters: Deque[tuple] = deque()
-
-    def put(self, amount: float) -> Event:
-        """Add ``amount``; fires once there is room."""
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        event = Event(self.env)
-        self._putters.append((amount, event))
-        self._settle()
-        return event
-
-    def get(self, amount: float) -> Event:
-        """Remove ``amount``; fires once available."""
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        event = Event(self.env)
-        self._getters.append((amount, event))
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                amount, event = self._putters[0]
-                if self.level + amount <= self.capacity + 1e-12:
-                    self._putters.popleft()
-                    self.level += amount
-                    event.succeed(amount)
-                    progressed = True
-            if self._getters:
-                amount, event = self._getters[0]
-                if amount <= self.level + 1e-12:
-                    self._getters.popleft()
-                    self.level -= amount
-                    event.succeed(amount)
-                    progressed = True
-
-
-class Store:
-    """A FIFO of arbitrary items with blocking ``get``."""
-
-    def __init__(self, env: Environment, capacity: Optional[int] = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.env = env
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()
-
-    def put(self, item: Any) -> Event:
-        """Append ``item``; fires once there is room."""
-        event = Event(self.env)
-        self._putters.append((item, event))
-        self._settle()
-        return event
-
-    def get(self) -> Event:
-        """Pop the oldest item; fires once one exists."""
-        event = Event(self.env)
-        self._getters.append(event)
-        self._settle()
-        return event
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters and (
-                self.capacity is None or len(self.items) < self.capacity
-            ):
-                item, event = self._putters.popleft()
-                self.items.append(item)
-                event.succeed(item)
-                progressed = True
-            if self._getters and self.items:
-                event = self._getters.popleft()
-                event.succeed(self.items.popleft())
-                progressed = True

@@ -13,6 +13,8 @@ against their scalar reference loops, and the
 fused tick relies on.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,19 @@ def federation_pair(policy, **spec_kw):
     assert type(scalar) is FederationCoordinator
     assert isinstance(batched, BatchedFederationCoordinator)
     return scalar, batched
+
+
+def site_major_vectorized(policy, **spec_kw):
+    """The site-major coordinator over ``SiteSpec(vectorized=True)``
+    controllers: each site ticks through its own one-site segment."""
+    specs = [replace(spec, vectorized=True) for spec in make_specs(**spec_kw)]
+    coordinator = run_federation(specs, n_ticks=TICKS, policy=policy)
+    assert type(coordinator) is FederationCoordinator
+    assert any(
+        isinstance(site.controller, VectorizedWillowController)
+        for site in coordinator.sites
+    )
+    return coordinator
 
 
 def _server_series(collector, attr):
@@ -178,6 +193,9 @@ class TestBatchedFederationEquivalence:
     def test_policy_equivalent(self, policy):
         scalar, batched = federation_pair(policy)
         assert_federations_equal(scalar, batched)
+        # The same array tick driven site-major, one site at a time,
+        # with WAN costs charged outside the tick.
+        assert_federations_equal(site_major_vectorized(policy), batched)
 
     def test_shifting_actually_happens(self):
         """The contract must be exercised with real cross-site moves."""
@@ -218,6 +236,25 @@ class TestSingleSiteBitExact:
         assert [key(m) for m in vector.migrations] == [
             key(m) for m in federated.migrations
         ]
+
+
+class TestCoordinatorHooks:
+    @pytest.mark.parametrize("vectorized", [False, True])
+    def test_on_tick_fires_once_per_tick(self, vectorized):
+        coordinator = build_federation(
+            make_specs(n_sites=2, fault_site=False),
+            n_ticks=12,
+            vectorized=vectorized,
+        )
+        calls = []
+        coordinator.on_tick.append(
+            lambda coord, ticks: calls.append(
+                (ticks, coord.sites[0].controller.env.now)
+            )
+        )
+        coordinator.run(12)
+        delta_d = coordinator.delta_d
+        assert calls == [(k, k * delta_d) for k in range(1, 13)]
 
 
 # ------------------------------------------------------------- structure

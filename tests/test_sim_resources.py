@@ -1,8 +1,8 @@
-"""Tests for Resource / Container / Store primitives."""
+"""Tests for the Resource primitive."""
 
 import pytest
 
-from repro.sim import Container, Environment, Resource, Store
+from repro.sim import Environment, Resource
 
 
 class TestResource:
@@ -91,123 +91,3 @@ class TestResource:
         env.run()
         assert log == [(0.0, "a"), (1.0, "b")]
 
-
-class TestContainer:
-    def test_initial_level_and_get(self):
-        env = Environment()
-        container = Container(env, capacity=10.0, initial=5.0)
-        got = container.get(3.0)
-        env.run()
-        assert got.processed and container.level == 2.0
-
-    def test_get_blocks_until_put(self):
-        env = Environment()
-        container = Container(env, capacity=10.0)
-        got = container.get(4.0)
-        env.run()
-        assert not got.triggered
-        container.put(5.0)
-        env.run()
-        assert got.processed and container.level == pytest.approx(1.0)
-
-    def test_put_blocks_at_capacity(self):
-        env = Environment()
-        container = Container(env, capacity=5.0, initial=5.0)
-        put = container.put(1.0)
-        env.run()
-        assert not put.triggered
-        container.get(2.0)
-        env.run()
-        assert put.processed and container.level == pytest.approx(4.0)
-
-    def test_validation(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            Container(env, capacity=0.0)
-        with pytest.raises(ValueError):
-            Container(env, capacity=1.0, initial=2.0)
-        container = Container(env, capacity=1.0)
-        with pytest.raises(ValueError):
-            container.put(0.0)
-        with pytest.raises(ValueError):
-            container.get(-1.0)
-
-    def test_battery_process(self):
-        # A UPS-style battery: solar charges, the load drains.
-        env = Environment()
-        battery = Container(env, capacity=100.0, initial=20.0)
-        drained = []
-
-        def load(env):
-            for _ in range(3):
-                yield battery.get(15.0)
-                drained.append(env.now)
-                yield env.timeout(1.0)
-
-        def solar(env):
-            while True:
-                yield env.timeout(0.5)
-                yield battery.put(10.0)
-
-        env.process(load(env))
-        env.process(solar(env))
-        env.run(until=10.0)
-        assert len(drained) == 3
-
-
-class TestStore:
-    def test_fifo_order(self):
-        env = Environment()
-        store = Store(env)
-        store.put("a")
-        store.put("b")
-        g1, g2 = store.get(), store.get()
-        env.run()
-        assert g1.value == "a" and g2.value == "b"
-
-    def test_get_blocks_until_item(self):
-        env = Environment()
-        store = Store(env)
-        got = store.get()
-        env.run()
-        assert not got.triggered
-        store.put("x")
-        env.run()
-        assert got.value == "x"
-
-    def test_bounded_store_blocks_put(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        store.put("a")
-        blocked = store.put("b")
-        env.run()
-        assert not blocked.triggered
-        store.get()
-        env.run()
-        assert blocked.processed
-        assert list(store.items) == ["b"]
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            Store(Environment(), capacity=0)
-
-    def test_producer_consumer(self):
-        env = Environment()
-        store = Store(env, capacity=2)
-        consumed = []
-
-        def producer(env):
-            for i in range(5):
-                yield store.put(i)
-                yield env.timeout(0.1)
-
-        def consumer(env):
-            while len(consumed) < 5:
-                item = yield store.get()
-                consumed.append((env.now, item))
-                yield env.timeout(0.3)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run(until=5.0)
-        assert [item for _t, item in consumed] == [0, 1, 2, 3, 4]

@@ -153,6 +153,29 @@ class TestVectorizedControllerGuards:
         controller, _ = run_willow(n_ticks=1, vectorized=True)
         assert isinstance(controller, VectorizedWillowController)
 
+    def test_tick_leaves_no_deferred_work(self):
+        """Rows are built inside the tick, and a finished controller is
+        freed by reference counting (no controller/segment cycle)."""
+        import gc
+        import weakref
+
+        controller, collector = run_willow(n_ticks=3, vectorized=True)
+        for rows in (
+            collector.server_samples,
+            collector.switch_samples,
+            collector.messages,
+        ):
+            assert type(rows) is list
+        ref = weakref.ref(controller)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del controller, collector
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestBatchedDemandSampling:
     """Block-prefetched Poisson draws are bit-identical to unbatched."""
