@@ -97,3 +97,64 @@ def test_kernel_baseline_not_regressed(baseline, fresh):
             f"kernel {key} is {row['vectorized_us_per_iter']:.1f} us vs "
             f"recorded {recorded[key]:.1f} us"
         )
+
+
+def test_consolidation_pass_builds_one_bin_per_move_at_most(monkeypatch):
+    """The first eta2 pass over a 1024-server site at 30% load.
+
+    Counts ``Bin`` constructions inside ``ConsolidationPlanner.plan``:
+    the array planner realises only the bins its moves land in.  The
+    object-based planner rebuilt one bin per awake receiver per drain
+    candidate (~800 per candidate here).  An operation count, not a
+    time, so machine speed cannot flake it.
+    """
+    from repro.binpack.items import Bin
+    from repro.core.config import WillowConfig
+    from repro.core.consolidation import ConsolidationPlanner
+    from repro.core.vectorized import VectorizedWillowController
+    from repro.power.supply import constant_supply
+    from repro.sim.rng import RandomStreams
+    from repro.topology.builders import build_balanced
+    from repro.workload.applications import SIMULATION_APPS
+    from repro.workload.generator import (
+        random_placement,
+        scale_for_target_utilization,
+    )
+
+    config = WillowConfig()
+    tree = build_balanced((4, 16, 16))
+    ids = [s.node_id for s in tree.servers()]
+    placement = random_placement(
+        ids, SIMULATION_APPS, RandomStreams(1)["placement"], vms_per_server=4
+    )
+    scale_for_target_utilization(placement, config.server_model.slope, 0.3)
+    controller = VectorizedWillowController(
+        tree,
+        config,
+        constant_supply(0.7 * len(ids) * config.circuit_limit),
+        placement,
+        seed=1,
+    )
+
+    built = []
+    post_init = Bin.__post_init__
+    plan = ConsolidationPlanner.plan
+    passes = []
+
+    def counting_post_init(self):
+        built.append(self.key)
+        post_init(self)
+
+    def counting_plan(self, *args, **kwargs):
+        before = len(built)
+        result = plan(self, *args, **kwargs)
+        passes.append((len(built) - before, len(result.moves)))
+        return result
+
+    monkeypatch.setattr(Bin, "__post_init__", counting_post_init)
+    monkeypatch.setattr(ConsolidationPlanner, "plan", counting_plan)
+    controller.run(config.eta2 + 1)
+    assert passes, "no consolidation pass in the first eta2 + 1 ticks"
+    bins, moves = passes[0]
+    assert moves > 100
+    assert bins <= moves, f"{bins} Bin objects for {moves} planned moves"

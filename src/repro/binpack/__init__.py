@@ -10,7 +10,8 @@ consolidation.
 
 * :mod:`repro.binpack.items` -- :class:`Item` / :class:`Bin` /
   :class:`PackResult` data model.
-* :mod:`repro.binpack.ffdlr` -- the FFDLR packer.
+* :mod:`repro.binpack.ffdlr` -- the FFDLR packer: the array decision
+  (:func:`ffdlr_assign`) and its `Bin`-object wrapper (:func:`ffdlr_pack`).
 * :mod:`repro.binpack.baselines` -- first-fit, FFD, best-fit-decreasing
   and worst-fit comparators.
 * :mod:`repro.binpack.exact` -- exhaustive optima for small instances
@@ -21,7 +22,7 @@ consolidation.
 """
 
 from repro.binpack.items import Bin, Item, PackResult
-from repro.binpack.ffdlr import ffdlr_pack, ffd_bin_count
+from repro.binpack.ffdlr import ffdlr_assign, ffdlr_pack, ffd_bin_count
 from repro.binpack.prescreen import (
     deficient_order,
     destination_order,
@@ -45,6 +46,7 @@ __all__ = [
     "destination_order",
     "feasible_exact",
     "ffd_bin_count",
+    "ffdlr_assign",
     "ffdlr_pack",
     "first_fit",
     "first_fit_decreasing",

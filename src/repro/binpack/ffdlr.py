@@ -23,13 +23,13 @@ unpackable.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.binpack.items import Bin, Item, PackResult
 
-__all__ = ["ffdlr_pack", "ffd_bin_count"]
+__all__ = ["ffdlr_assign", "ffdlr_pack", "ffd_bin_count"]
 
 _SLACK = 1e-9
 
@@ -55,22 +55,71 @@ def ffd_bin_count(sizes: Sequence[float], capacity: float) -> int:
     return len(loads)
 
 
-def _ffd_groups(items: List[Item], capacity: float) -> List[List[Item]]:
-    """Phase 1: FFD into virtual bins of ``capacity``; returns groups."""
-    groups: List[List[Item]] = []
-    loads: List[float] = []
-    for item in sorted(items, key=lambda it: it.size, reverse=True):
-        placed = False
-        for i, load in enumerate(loads):
-            if load + item.size <= capacity + _SLACK:
-                groups[i].append(item)
-                loads[i] = load + item.size
-                placed = True
+def ffdlr_assign(
+    sizes: Sequence[float], caps: np.ndarray, loads: Optional[np.ndarray] = None
+) -> Tuple[List[Tuple[int, int]], List[int]]:
+    """The FFDLR decision over flat arrays; nothing is mutated.
+
+    ``sizes`` are the item sizes, ``caps`` the float64 bin capacities
+    and ``loads`` what each bin already holds (zeros when omitted).
+    Returns ``(placed, unpacked)``: ``(item index, bin position)`` pairs
+    in placement order, and the indices of items no bin can take.
+    """
+    n = len(sizes)
+    largest = float(caps.max()) if len(caps) else 0.0
+    if largest <= 0:
+        return [], list(range(n))
+    loads = np.zeros(len(caps)) if loads is None else loads.copy()
+    limit = largest + _SLACK
+
+    # Phase 1: FFD into virtual bins of the largest real capacity.
+    # Oversized items can never fit; set them aside immediately.
+    leftovers = [i for i in range(n) if sizes[i] > limit]
+    packable = [i for i in range(n) if sizes[i] <= limit]
+    groups: List[List[int]] = []
+    group_loads: List[float] = []
+    for i in sorted(packable, key=sizes.__getitem__, reverse=True):
+        for g, load in enumerate(group_loads):
+            if load + sizes[i] <= limit:
+                groups[g].append(i)
+                group_loads[g] = load + sizes[i]
                 break
-        if not placed:
-            groups.append([item])
-            loads.append(item.size)
-    return groups
+        else:
+            groups.append([i])
+            group_loads.append(sizes[i])
+
+    # Phase 2 (the "LR" repack): match each group, heaviest first, to
+    # the smallest unused real bin that holds it (ties: lowest position).
+    # A used bin's room drops to -inf so no later group fits it.
+    placed: List[Tuple[int, int]] = []
+    room = caps + _SLACK
+    for group in sorted(groups, key=lambda g: sum(sizes[i] for i in g), reverse=True):
+        total = sum(sizes[i] for i in group)
+        fit = (total <= room).nonzero()[0]
+        if not fit.size:
+            leftovers.extend(group)
+            continue
+        b = int(fit[caps[fit].argmin()])
+        room[b] = -np.inf
+        load = loads[b]
+        for i in group:
+            placed.append((i, b))
+            load = load + sizes[i]
+        loads[b] = load
+
+    # Split infeasible groups: best-fit each leftover item individually
+    # into whatever residual capacity remains (used bins included).
+    unpacked: List[int] = []
+    for i in sorted(leftovers, key=sizes.__getitem__, reverse=True):
+        residual = caps - loads
+        fit = (sizes[i] <= residual + _SLACK).nonzero()[0]
+        if fit.size:
+            b = int(fit[residual[fit].argmin()])
+            placed.append((i, b))
+            loads[b] = loads[b] + sizes[i]
+        else:
+            unpacked.append(i)
+    return placed, unpacked
 
 
 def ffdlr_pack(items: Sequence[Item], bins: Sequence[Bin]) -> PackResult:
@@ -90,60 +139,17 @@ def ffdlr_pack(items: Sequence[Item], bins: Sequence[Bin]) -> PackResult:
     pending = [item for item in items if item.size > 0]
     if not pending:
         return result
-    if not bins:
+    if not bins or max(b.capacity for b in bins) <= 0:
         result.unpacked = list(pending)
         return result
-
-    largest = max(b.capacity for b in bins)
-    if largest <= 0:
-        result.unpacked = list(pending)
-        return result
-
-    # Phase 1: FFD into virtual bins of the largest real capacity.
-    # Oversized items can never fit; set them aside immediately.
-    oversized = [it for it in pending if it.size > largest + _SLACK]
-    packable = [it for it in pending if it.size <= largest + _SLACK]
-    groups = _ffd_groups(packable, largest)
-
-    # Phase 2 (the "LR" repack): match each group, heaviest first, to
-    # the smallest unused real bin that holds it.  The scans run over
-    # flat capacity/load arrays; the fit tests reuse the exact scalar
-    # expressions (``total <= cap + _SLACK``, first minimum wins) so
-    # decisions match the original bin-object loops bit for bit.
-    caps = np.array([b.capacity for b in bins], dtype=float)
-    loads = np.array([b.load for b in bins], dtype=float)
-    order = np.argsort(caps, kind="stable")
-    sorted_caps = caps[order]
-    avail = np.ones(len(bins), dtype=bool)
-    leftovers: List[Item] = list(oversized)
-    for group in sorted(groups, key=lambda g: sum(i.size for i in g), reverse=True):
-        total = sum(item.size for item in group)
-        feasible = avail & (total <= sorted_caps + _SLACK)
-        pos = int(np.argmax(feasible)) if feasible.any() else -1
-        if pos >= 0:
-            avail[pos] = False
-            bin_index = int(order[pos])
-            chosen = bins[bin_index]
-            for item in group:
-                chosen.add(item)
-                result.assignment[item.key] = chosen.key
-            loads[bin_index] = chosen.load
-        else:
-            leftovers.extend(group)
-
-    # Split infeasible groups: best-fit each leftover item individually
-    # into whatever residual capacity remains (used bins included).
-    for item in sorted(leftovers, key=lambda it: it.size, reverse=True):
-        residual = caps - loads
-        feasible = np.flatnonzero(item.size <= residual + _SLACK)
-        if feasible.size:
-            best_index = int(feasible[np.argmin(residual[feasible])])
-            best = bins[best_index]
-            best.add(item)
-            result.assignment[item.key] = best.key
-            loads[best_index] = best.load
-        else:
-            result.unpacked.append(item)
-
+    placed, unpacked = ffdlr_assign(
+        [item.size for item in pending],
+        np.array([b.capacity for b in bins], dtype=float),
+        np.array([b.load for b in bins], dtype=float),
+    )
+    for i, b in placed:
+        bins[b].add(pending[i])
+        result.assignment[pending[i].key] = bins[b].key
+    result.unpacked = [pending[i] for i in unpacked]
     result.validate()
     return result

@@ -12,6 +12,13 @@ the testbed sets the threshold at 20 % utilization (Sec. V-C5).  Every
 3. if so, plans the moves and marks the server for sleep -- partial
    drains are never done since a half-empty server saves nothing.
 
+One residual-capacity array (one row per receiver, node-id order) is
+kept across the whole pass, so a candidate costs a few NumPy passes
+over the receivers plus FFDLR over its own VMs
+(:func:`repro.binpack.ffdlr.ffdlr_assign`); ``Bin`` objects are built
+only for the receivers a drain lands in, to run the packer's fit and
+overfull checks on them.
+
 Waking is the inverse: when drops persist while a sleeping server
 exists and the root has budget headroom for its static floor, one
 server per consolidation round begins its (slow) S3/S4 resume.
@@ -20,10 +27,16 @@ server per consolidation round begins its (slow) S3/S4 resume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List
 
-from repro.binpack.ffdlr import ffdlr_pack
-from repro.binpack.items import Bin, Item
+import numpy as np
+
+# ``ffdlr_pack`` is not called here: the pass uses the array core
+# directly.  The name stays bound because the benchmark's span tracer
+# (perfbench/spans.py) wraps ``repro.core.consolidation.ffdlr_pack``.
+from repro.binpack.ffdlr import ffdlr_assign, ffdlr_pack  # noqa: F401
+from repro.binpack.items import Bin, Item, PackResult
 from repro.core.config import WillowConfig
 from repro.core.migration import PlannedMove
 from repro.core.state import NodeRuntime, ServerRuntime, SleepState
@@ -51,10 +64,79 @@ class ConsolidationPlanner:
         self.tree = tree
         self.config = config
 
-    def _target_capacity(self, server: ServerRuntime) -> float:
-        surplus = server.budget - server.raw_demand
+    def _drain(
+        self,
+        plan: ConsolidationPlan,
+        candidates: List[ServerRuntime],
+        receivers: List[ServerRuntime],
+    ) -> None:
+        """Drain each candidate whole into the receivers, or not at all.
+
+        One residual receive-capacity row per receiver (node-id order)
+        is kept across the pass and debited as earlier drains land, so
+        later candidates see the truth; only the rows a drain chooses
+        are touched.  ``alive`` clears once a receiver is itself
+        drained, and a receiver that took more than ``_EPS`` of load
+        this pass stays up (its planned VMs are not in ``.vms`` yet, so
+        it could not be drained consistently).  Starved candidates are
+        never receivers.
+        """
+        receivers = sorted(receivers, key=lambda s: s.node.node_id)
+        ids = [s.node.node_id for s in receivers]
+        row_of = {node_id: row for row, node_id in enumerate(ids)}
+        # Bin capacity a receiver offers: surplus minus the P_min
+        # margin and the migration cost.
         overhead = self.config.p_min + self.config.migration_cost_power
-        return max(surplus - overhead, 0.0)
+        cap = np.array(
+            [max(s.budget - s.raw_demand - overhead, 0.0) for s in receivers],
+            dtype=float,
+        )
+        alive = np.ones(len(ids), dtype=bool)
+        extra_load = np.zeros(len(ids))
+        for candidate in candidates:
+            own = row_of.get(candidate.node.node_id)
+            if own is not None and extra_load[own] > _EPS:
+                continue
+            if not candidate.vms:
+                # Nothing hosted: deactivate immediately.
+                plan.to_sleep.append(candidate)
+                if own is not None:
+                    alive[own] = False
+                continue
+            eligible = alive & (cap > _EPS)
+            if own is not None:
+                eligible[own] = False
+            rows = np.flatnonzero(eligible)
+            if not rows.size:
+                continue
+            vms: List[VM] = list(candidate.vms.values())
+            sizes = [max(vm.current_demand, _EPS) for vm in vms]
+            residual = cap[rows]
+            placed, unpacked = ffdlr_assign(sizes, residual)
+            if unpacked:
+                continue  # partial drains save nothing; stay awake
+            # Realise only the chosen bins, in node-id then contents
+            # order, so Bin.add's fit check and the overfull check run
+            # on every receiver this drain touches.
+            placed.sort(key=itemgetter(1))
+            result = PackResult(assignment={}, bins=[], unpacked=[])
+            for i, pos in placed:
+                row = int(rows[pos])
+                if not result.bins or result.bins[-1].key != ids[row]:
+                    result.bins.append(
+                        Bin(key=ids[row], capacity=float(residual[pos]))
+                    )
+                result.bins[-1].add(Item(key=vms[i].vm_id, size=sizes[i]))
+                result.assignment[vms[i].vm_id] = ids[row]
+                plan.moves.append(
+                    PlannedMove(vm=vms[i], src=candidate.node, dst=receivers[row].node)
+                )
+                cap[row] = max(cap[row] - sizes[i], 0.0)
+                extra_load[row] += sizes[i]
+            result.validate()
+            plan.to_sleep.append(candidate)
+            if own is not None:
+                alive[own] = False
 
     def plan(
         self,
@@ -79,130 +161,36 @@ class ConsolidationPlanner:
         # the deficits need (and fight the wake heuristic below).
         deficit_regime = recent_dropped_power > config.p_min
 
-        # Servers whose budget fell below their own static floor cannot
-        # comply while awake (the floor is unavoidable); they are drain
-        # candidates even in a deficit regime -- the paper's severe-case
-        # "shut down" response.
-        floor = config.server_model.static_power
-        if config.consolidation_enabled and deficit_regime:
-            starved = sorted(
-                (
-                    s
-                    for s in servers.values()
-                    if s.is_awake and s.budget < floor - _EPS
-                ),
-                key=lambda s: s.vm_demand,
-            )
-            capacity: Dict[int, float] = {
-                s.node.node_id: self._target_capacity(s)
-                for s in servers.values()
-                if s.is_awake and s.budget >= floor
-            }
-            for candidate in starved:
-                if not candidate.vms:
-                    plan.to_sleep.append(candidate)
-                    continue
-                items = [
-                    Item(key=vm.vm_id, size=max(vm.current_demand, _EPS), payload=vm)
-                    for vm in candidate.vms.values()
-                ]
-                bins = [
-                    Bin(key=node_id, capacity=residual)
-                    for node_id, residual in sorted(capacity.items())
-                    if residual > _EPS
-                ]
-                if not bins:
-                    continue
-                result = ffdlr_pack(items, bins)
-                if result.unpacked:
-                    continue  # cannot strand VMs; stay awake
-                for bin_ in result.bins:
-                    for item in bin_.contents:
-                        plan.moves.append(
-                            PlannedMove(
-                                vm=item.payload,
-                                src=candidate.node,
-                                dst=servers[bin_.key].node,
-                            )
-                        )
-                        capacity[bin_.key] = max(
-                            capacity[bin_.key] - item.size, 0.0
-                        )
-                plan.to_sleep.append(candidate)
-
-        if config.consolidation_enabled and not deficit_regime:
-            threshold_power = config.consolidation_threshold * config.server_model.slope
-            # Hot-zone servers (higher ambient => lower thermal cap) are
-            # drained first: Willow "tries to move as much work away
-            # from these servers as possible due to their high
-            # temperatures" (Sec. V-B3), which is also what maximises
-            # their sleep time in Fig. 7.  Within a zone, drain the
-            # least-loaded first.
-            candidates = sorted(
-                (
-                    s
-                    for s in servers.values()
-                    if s.is_awake
-                    and s.vm_demand <= threshold_power + _EPS
-                ),
-                key=lambda s: (-s.thermal_params.t_ambient, s.vm_demand),
-            )
-            draining: set = set()
-            # Residual receive-capacity per potential target; mutated as
-            # earlier drains land so later candidates see the truth.
-            capacity: Dict[int, float] = {
-                s.node.node_id: self._target_capacity(s)
-                for s in servers.values()
-                if s.is_awake
-            }
-            extra_load: Dict[int, float] = {}
-            for candidate in candidates:
-                # A server that received load from an earlier drain this
-                # round stays up (its planned VMs are not in .vms yet,
-                # so it could not be drained consistently anyway).
-                if extra_load.get(candidate.node.node_id, 0.0) > _EPS:
-                    continue
-                current_demand = candidate.vm_demand
-                if not candidate.vms and current_demand <= _EPS:
-                    # Nothing hosted: deactivate immediately.
-                    plan.to_sleep.append(candidate)
-                    draining.add(candidate.node.node_id)
-                    continue
-                items = [
-                    Item(key=vm.vm_id, size=max(vm.current_demand, _EPS), payload=vm)
-                    for vm in candidate.vms.values()
-                ]
-                bins = [
-                    Bin(key=node_id, capacity=residual)
-                    for node_id, residual in sorted(capacity.items())
-                    if node_id != candidate.node.node_id
-                    and node_id not in draining
-                    and residual > _EPS
-                ]
-                if not bins:
-                    continue
-                result = ffdlr_pack(items, bins)
-                if result.unpacked:
-                    continue  # partial drains save nothing; skip
-                for bin_ in result.bins:
-                    for item in bin_.contents:
-                        vm: VM = item.payload
-                        plan.moves.append(
-                            PlannedMove(
-                                vm=vm,
-                                src=candidate.node,
-                                dst=servers[bin_.key].node,
-                            )
-                        )
-                        capacity[bin_.key] = max(
-                            capacity[bin_.key] - item.size, 0.0
-                        )
-                        extra_load[bin_.key] = (
-                            extra_load.get(bin_.key, 0.0) + item.size
-                        )
-                plan.to_sleep.append(candidate)
-                draining.add(candidate.node.node_id)
-                capacity.pop(candidate.node.node_id, None)
+        if config.consolidation_enabled:
+            awake = [s for s in servers.values() if s.is_awake]
+            floor = config.server_model.static_power
+            if deficit_regime:
+                # Servers whose budget fell below their own static floor
+                # cannot comply while awake (the floor is unavoidable);
+                # they are drain candidates even in a deficit regime --
+                # the paper's severe-case "shut down" response.  Only
+                # servers above the floor receive.
+                candidates = sorted(
+                    (s for s in awake if s.budget < floor - _EPS),
+                    key=lambda s: s.vm_demand,
+                )
+                receivers = [s for s in awake if s.budget >= floor]
+            else:
+                threshold_power = (
+                    config.consolidation_threshold * config.server_model.slope
+                )
+                # Hot-zone servers (higher ambient => lower thermal cap)
+                # are drained first: Willow "tries to move as much work
+                # away from these servers as possible due to their high
+                # temperatures" (Sec. V-B3), which is also what maximises
+                # their sleep time in Fig. 7.  Within a zone, drain the
+                # least-loaded first.
+                candidates = sorted(
+                    (s for s in awake if s.vm_demand <= threshold_power + _EPS),
+                    key=lambda s: (-s.thermal_params.t_ambient, s.vm_demand),
+                )
+                receivers = awake
+            self._drain(plan, candidates, receivers)
 
         # -- wake heuristic ---------------------------------------------------
         if deficit_regime:

@@ -102,7 +102,7 @@ class ServerRuntime:
     @property
     def vm_demand(self) -> float:
         """Aggregate demand (W) of currently hosted VMs this tick."""
-        return sum(vm.current_demand for vm in self.vms.values())
+        return sum([vm.current_demand for vm in self.vms.values()])
 
     @property
     def migration_cost_demand(self) -> float:

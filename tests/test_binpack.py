@@ -1,5 +1,6 @@
 """Tests for the bin-packing data model, FFDLR and baselines."""
 
+import numpy as np
 import pytest
 
 from repro.binpack import (
@@ -8,6 +9,7 @@ from repro.binpack import (
     best_fit_decreasing,
     feasible_exact,
     ffd_bin_count,
+    ffdlr_assign,
     ffdlr_pack,
     first_fit,
     first_fit_decreasing,
@@ -110,6 +112,59 @@ class TestFFDLR:
             return sorted(result.assignment.items())
 
         assert pack_once() == pack_once()
+
+
+class TestFFDLRArrayCore:
+    """``ffdlr_assign``: the array decision behind ``ffdlr_pack``."""
+
+    def test_oversized_item_unpacked_rest_placed(self):
+        placed, unpacked = ffdlr_assign([20.0, 3.0], np.array([10.0, 5.0]))
+        assert placed == [(1, 1)]  # smallest bin that holds the 3
+        assert unpacked == [0]
+
+    def test_failed_group_splits_into_best_fit_leftovers(self):
+        # FFD into the largest bin (10) makes groups {5, 5} and {6, 3}.
+        # {5, 5} takes the 10; no unused bin holds 9, so 6 and 3 are
+        # best-fitted one by one into the two 6s.
+        placed, unpacked = ffdlr_assign(
+            [6.0, 5.0, 5.0, 3.0], np.array([10.0, 6.0, 6.0])
+        )
+        assert placed == [(1, 0), (2, 0), (0, 1), (3, 2)]
+        assert unpacked == []
+
+    def test_equal_capacities_go_to_lowest_position(self):
+        placed, _ = ffdlr_assign([4.0], np.array([7.0, 5.0, 5.0]))
+        assert placed == [(0, 1)]
+        placed, _ = ffdlr_assign([4.0, 4.0], np.array([5.0, 5.0, 5.0]))
+        assert placed == [(0, 0), (1, 1)]
+
+    def test_unpacked_when_nothing_fits(self):
+        assert ffdlr_assign([1.0, 2.0], np.array([])) == ([], [0, 1])
+        assert ffdlr_assign([1.0], np.array([0.0, 0.0])) == ([], [0])
+        placed, unpacked = ffdlr_assign([6.0, 6.0, 6.0], np.array([6.0, 6.0]))
+        assert placed == [(0, 0), (1, 1)]
+        assert unpacked == [2]
+
+    def test_existing_loads_limit_leftovers_and_inputs_untouched(self):
+        caps = np.array([10.0, 6.0, 6.0])
+        loads = np.array([0.0, 0.0, 3.5])
+        # As above, but the last bin already holds 3.5: the leftover 3
+        # finds residual 2.5 there and stays unpacked.
+        placed, unpacked = ffdlr_assign([6.0, 5.0, 5.0, 3.0], caps, loads)
+        assert placed == [(1, 0), (2, 0), (0, 1)]
+        assert unpacked == [3]
+        assert caps.tolist() == [10.0, 6.0, 6.0]
+        assert loads.tolist() == [0.0, 0.0, 3.5]
+
+    def test_pack_wrapper_agrees_with_core(self):
+        sizes = [6.0, 5.0, 5.0, 3.0]
+        result = ffdlr_pack(
+            [Item(i, s) for i, s in enumerate(sizes)],
+            [Bin(k, c) for k, c in (("a", 10.0), ("b", 6.0), ("c", 6.0))],
+        )
+        assert list(result.assignment.items()) == [
+            (1, "a"), (2, "a"), (0, "b"), (3, "c")
+        ]
 
 
 class TestFFDBinCount:
