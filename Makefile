@@ -94,7 +94,9 @@ service-smoke:
 ## Crash-recovery drill: kill -9 a live checkpointed run mid-flight,
 ## corrupt the newest checkpoint, recover from the previous valid one
 ## plus the audit tail, and verify the combined audit log replays
-## bit-exactly against the recovered run's decision digest.
+## bit-exactly against the recovered run's decision digest.  Then a
+## batch `checkpoint`/`resume` must print the same decision digest, on
+## the scalar and the --vectorized controller.
 resume-smoke:
 	@set -e; dir=$$(mktemp -d); audit=$$dir/audit.jsonl; \
 	$(PYTHON) -m repro.cli serve $$audit \
@@ -118,6 +120,11 @@ resume-smoke:
 	timeout 120 $(PYTHON) -m repro.cli resume $$dir/batch.ckpt \
 		| grep "decision digest" > $$dir/b; \
 	cmp $$dir/a $$dir/b; \
+	timeout 120 $(PYTHON) -m repro.cli checkpoint $$dir/batchv.ckpt \
+		--ticks 30 --seed 7 --vectorized | grep "decision digest" > $$dir/va; \
+	timeout 120 $(PYTHON) -m repro.cli resume $$dir/batchv.ckpt \
+		| grep "decision digest" > $$dir/vb; \
+	cmp $$dir/va $$dir/vb; \
 	rm -rf $$dir; echo "crash recovery parity OK"
 
 ## Record a faulty-plant run with tracing on, then replay it through

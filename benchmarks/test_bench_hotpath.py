@@ -158,3 +158,39 @@ def test_consolidation_pass_builds_one_bin_per_move_at_most(monkeypatch):
     bins, moves = passes[0]
     assert moves > 100
     assert bins <= moves, f"{bins} Bin objects for {moves} planned moves"
+
+
+def test_live_snapshot_pickles_no_history_row_objects():
+    """The checkpoint payload of a 256-server live run after 14 ticks.
+
+    Counts the recorded-history row objects (server and switch samples,
+    control messages, drops) the pickler serialises: the collector
+    stores its tables as columns, so there are none.  Pickling one
+    object per row made every checkpoint tick several times slower than
+    a plain tick.  An object count, not a time, so machine speed cannot
+    flake it.
+    """
+    import io
+    import pickle
+
+    from repro.core.events import ControlMessage, Drop
+    from repro.metrics.collector import ServerSample, SwitchSample
+    from repro.service.simulation import LiveSimulation, ServiceSpec
+
+    simulation = LiveSimulation(ServiceSpec(controller="scalar", branching=(4, 8, 8)))
+    for _ in range(14):
+        simulation.step()
+    rows = (ServerSample, SwitchSample, ControlMessage, Drop)
+    counted = []
+
+    class CountingPickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if isinstance(obj, rows):
+                counted.append(type(obj).__name__)
+            return NotImplemented
+
+    CountingPickler(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(
+        simulation.snapshot_state()
+    )
+    assert len(simulation.collector.server_samples) == 14 * 256
+    assert not counted, f"{len(counted)} history row objects pickled"

@@ -6,6 +6,11 @@ A checkpoint file is::
     {json header}\n
     <payload bytes>
 
+The magic line names the container; the header's ``version`` names the
+payload layout (version 2 stores the recorded history as columns, see
+:meth:`repro.metrics.collector.MetricsCollector.state_dict`), and a file
+of any other version is refused before its payload is read.
+
 The header records the payload's exact byte length and sha256 so a torn
 or bit-flipped file is detected *before* the payload is unpickled; the
 pickle is never touched unless the hash verifies.  Files are written to
@@ -33,7 +38,7 @@ __all__ = [
     "read_header",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 MAGIC = b"willow-checkpoint 1\n"
 
 

@@ -54,6 +54,7 @@ from repro.federation.predictive import (
     SiteForecast,
 )
 from repro.federation.site import Site, SiteSpec, build_site
+from repro.metrics.collector import rows_from_columns, rows_to_columns
 from repro.trace.tracer import Tracer, active_tracer
 
 __all__ = [
@@ -705,7 +706,9 @@ class FederationCoordinator:
                 }
                 for site in self.sites
             ],
-            "cross_migrations": list(self.cross_migrations),
+            "cross_migrations": rows_to_columns(
+                self.cross_migrations, CrossSiteMigration
+            ),
             "transfer_log": list(self.transfer_log),
         }
         if self._planner is not None or self.federation.cooling is not None:
@@ -752,7 +755,9 @@ class FederationCoordinator:
             site.vms_sent = entry["vms_sent"]
             site.watts_received = entry["watts_received"]
             site.watts_sent = entry["watts_sent"]
-        self.cross_migrations[:] = state["cross_migrations"]
+        self.cross_migrations[:] = rows_from_columns(
+            state["cross_migrations"], CrossSiteMigration, "cross_migrations"
+        )
         self.transfer_log[:] = state["transfer_log"]
         extra = state.get("planner")
         if extra is None:

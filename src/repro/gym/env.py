@@ -432,7 +432,7 @@ class WillowFedEnv:
         Includes the full coordinator snapshot, the metric cursors and
         the episode bookkeeping; restore onto a fresh env built with the
         same :class:`GymConfig`.  Like the coordinator's snapshot, the
-        structure holds *live* references -- serialize it (one pickle
+        structure holds *live* VM references -- serialize it (one pickle
         payload, as :mod:`repro.checkpoint` does) before restoring into
         a second env that will run concurrently.  Raises
         :class:`~repro.checkpoint.errors.CheckpointError` on the

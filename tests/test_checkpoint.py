@@ -11,7 +11,12 @@ over random configurations and snapshot ticks.
 """
 
 import copy
+import hashlib
+import json
+import math
 import os
+import pickle
+import struct
 import subprocess
 import sys
 import time
@@ -30,9 +35,18 @@ from repro.checkpoint import (
     read_header,
     write_checkpoint,
 )
+from repro.checkpoint.format import MAGIC
 from repro.cli import main
 from repro.core import WillowConfig, WillowController
+from repro.core.events import (
+    ControlMessage,
+    Drop,
+    Migration,
+    MigrationCause,
+    PlantEvent,
+)
 from repro.core.vectorized import VectorizedWillowController
+from repro.metrics.collector import MetricsCollector, ServerSample, SwitchSample
 from repro.power import constant_supply
 from repro.sim import RandomStreams
 from repro.service.simulation import (
@@ -215,6 +229,40 @@ def test_store_max_tick_filter(tmp_path):
     assert store.latest_valid(max_tick=15)["tick"] == 14
 
 
+def write_version_1(path, tick):
+    """A well-formed, hash-valid checkpoint file of payload version 1."""
+    payload = pickle.dumps({"tick": tick})
+    header = {
+        "version": 1,
+        "kind": "t",
+        "tick": tick,
+        "payload_bytes": len(payload),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "meta": {},
+    }
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(MAGIC + json.dumps(header).encode("utf-8") + b"\n" + payload)
+
+
+def test_version_1_checkpoint_rejected(tmp_path):
+    path = tmp_path / "old.wck"
+    write_version_1(path, tick=7)
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        read_checkpoint(path)
+
+
+def test_store_latest_valid_skips_version_1(tmp_path):
+    store = CheckpointStore(tmp_path / "ckpt")
+    write_version_1(store.path_for(14), tick=14)
+    assert store.latest_valid() is None
+    store.save(kind="t", tick=7, state={"tick": 7})
+    document = store.latest_valid()
+    assert document["tick"] == 7
+    [(path, reason)] = document["skipped"]
+    assert path == store.path_for(14)
+    assert "unsupported checkpoint version 1" in reason
+
+
 # -------------------------------------------------- controller-layer resume
 @pytest.mark.parametrize("vectorized", [False, True])
 def test_resume_equals_straight_run(vectorized):
@@ -345,6 +393,148 @@ def test_federation_checkpointer_hook(tmp_path):
     coordinator.run(15)
     assert checkpointer.saved == [7, 14]
     assert store.load(14)["state"]["tick"] == 14
+
+
+# ------------------------------------------------ collector history encoding
+floats = st.floats() | st.sampled_from([-0.0, math.nan, -math.inf, math.inf])
+non_negative = st.floats(min_value=0.0) | st.sampled_from([-0.0, math.nan])
+ids = st.integers(0, 10**6)
+
+
+@st.composite
+def migrations(draw):
+    src = draw(ids)
+    return Migration(
+        time=draw(floats),
+        vm_id=draw(ids),
+        src_id=src,
+        dst_id=draw(ids.filter(lambda node: node != src)),
+        demand=draw(non_negative),
+        cause=draw(st.sampled_from(MigrationCause)),
+        local=draw(st.booleans()),
+        hops=draw(st.integers(0, 8)),
+        cost_power=draw(floats),
+    )
+
+
+drops = st.builds(
+    Drop, time=floats, node_id=ids, vm_id=st.none() | ids, power=non_negative
+)
+
+
+def table(rows):
+    return st.lists(rows, max_size=5)
+
+
+collectors = st.builds(
+    MetricsCollector,
+    server_samples=table(
+        st.builds(
+            ServerSample,
+            time=floats,
+            server_id=ids,
+            power=floats,
+            temperature=floats,
+            utilization=floats,
+            demand=floats,
+            budget=floats,
+            asleep=st.booleans(),
+        )
+    ),
+    switch_samples=table(
+        st.builds(
+            SwitchSample,
+            time=floats,
+            switch_id=ids,
+            level=st.integers(0, 4),
+            base_traffic=floats,
+            migration_traffic=floats,
+            power=floats,
+        )
+    ),
+    migrations=table(migrations()),
+    drops=table(drops),
+    unmatched_deficits=table(drops),
+    messages=table(
+        st.builds(ControlMessage, time=floats, link=ids, upward=st.booleans())
+    ),
+    imbalance=table(st.tuples(floats, floats)),
+    plant_events=table(
+        st.builds(
+            PlantEvent,
+            time=floats,
+            kind=st.text(min_size=1),
+            node_id=ids,
+            detail=st.text(),
+        )
+    ),
+)
+
+
+def exact(rows):
+    """Each row as its type plus (type, value) per field, floats as bits."""
+
+    def value(v):
+        return (type(v), struct.pack("<d", v) if isinstance(v, float) else v)
+
+    def cells(row):
+        if isinstance(row, tuple):
+            return row
+        return [getattr(row, name) for name in row.__dataclass_fields__]
+
+    return [(type(row), [value(v) for v in cells(row)]) for row in rows]
+
+
+RECORD_TABLES = [
+    name
+    for name, default in vars(MetricsCollector()).items()
+    if isinstance(default, list)
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(collector=collectors)
+def test_collector_state_round_trips_exactly(collector):
+    state = pickle.loads(
+        pickle.dumps(collector.state_dict(), protocol=pickle.HIGHEST_PROTOCOL)
+    )
+    assert set(state) == set(RECORD_TABLES)
+    twin = MetricsCollector()
+    twin.load_state_dict(state)
+    for name in RECORD_TABLES:
+        assert exact(getattr(twin, name)) == exact(getattr(collector, name))
+
+
+def test_collector_load_validates_rows():
+    collector = MetricsCollector()
+    collector.record_drop(Drop(time=1.0, node_id=3, vm_id=None, power=2.0))
+    state = collector.state_dict()
+    state["drops"]["columns"][3] = [-1.0]
+    with pytest.raises(ValueError, match="non-negative"):
+        MetricsCollector().load_state_dict(state)
+
+
+def _unknown_table(collector):
+    collector["bogus"] = []
+
+
+def _renamed_field(collector):
+    fields = collector["server_samples"]["fields"]
+    collector["server_samples"]["fields"] = ("when",) + tuple(fields[1:])
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [(_unknown_table, "does not know: \\['bogus'\\]"),
+     (_renamed_field, "'server_samples' has fields")],
+)
+def test_restore_rejects_foreign_collector_schema(corrupt, message):
+    first = build_controller(seed=2)
+    first.run(3)
+    state = first.snapshot_state()
+    corrupt(state["collector"])
+    with pytest.raises(CheckpointError, match=message):
+        build_controller(seed=2).restore_state(state)
 
 
 # ------------------------------------------------------------------- gates
