@@ -1,10 +1,25 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench bench-smoke bench-guard perfbench-smoke federation-bench-smoke trace-smoke examples-smoke federation-smoke mpc-smoke gym-smoke service-smoke resume-smoke experiments clean-cache
+.PHONY: test cli-smoke bench bench-smoke bench-guard perfbench-smoke federation-bench-smoke trace-smoke examples-smoke federation-smoke mpc-smoke gym-smoke service-smoke resume-smoke experiments clean-cache
 
 test:
 	$(PYTHON) -m pytest tests/ -q
+
+## CLI smoke: every subcommand's --help through the real `-m` entry
+## point (the list comes from the subcommand table, so a new subcommand
+## is covered without editing this target), plus a short `degraded`
+## run, which no other smoke target drives.
+cli-smoke:
+	@set -e; \
+	timeout 60 $(PYTHON) -m repro.cli --help > /dev/null; \
+	for cmd in $$($(PYTHON) -c \
+		"from repro.cli import COMMANDS; print(*filter(None, COMMANDS))"); do \
+		echo "== $$cmd --help"; \
+		timeout 60 $(PYTHON) -m repro.cli $$cmd --help > /dev/null; \
+	done; \
+	timeout 120 $(PYTHON) -m repro.cli degraded --ticks 8 > /dev/null; \
+	echo "cli smoke OK"
 
 ## Run every example script end-to-end at a small tick count.
 examples-smoke:

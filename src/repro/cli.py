@@ -47,17 +47,27 @@ and ``serve --recover`` restores a killed live run from its latest
 valid checkpoint plus the audit tail -- both resume bit-exactly (see
 docs/checkpointing.md).
 
-Every run subcommand takes ``--trace FILE`` to record the structured
-tick trace (:mod:`repro.trace`); ``trace`` replays a recorded file into
-a per-node causal explanation -- the budget's path down the tree with
-the constraint that bound at each level (see docs/observability.md).
+The plain run, ``degraded``, ``resilience`` and ``federation`` take
+``--trace FILE`` to record the structured tick trace
+(:mod:`repro.trace`); ``trace`` replays a recorded file into a per-node
+causal explanation -- the budget's path down the tree with the
+constraint that bound at each level (see docs/observability.md).
+
+Each subcommand is one :data:`COMMANDS` entry (name, arguments, run
+function).  Bad values and flag combinations raise :class:`CliError`
+while the run is parsed or built; :func:`main` prints it and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Tuple
+
+from repro.power import parse_battery_spec
 
 
 def package_version() -> str:
@@ -73,82 +83,195 @@ def package_version() -> str:
         return repro.__version__
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli",
-        description="Run Willow on a simulated data center.",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"repro {package_version()}"
-    )
-    parser.add_argument(
-        "--utilization", type=float, default=0.5,
-        help="target mean utilization in (0, 1] (default 0.5)",
-    )
-    parser.add_argument(
-        "--ticks", type=int, default=100, help="control ticks to run"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument(
-        "--hot", type=int, default=0, metavar="N",
-        help="put the last N servers in a 40C hot zone",
-    )
-    parser.add_argument(
-        "--branching", type=str, default=None, metavar="A,B,C",
-        help="custom balanced tree, e.g. 3,3,3 (default: paper's 2,3,3)",
-    )
-    parser.add_argument(
-        "--supply-factor", type=float, default=1.0,
-        help="nominal supply as a multiple of fleet circuit capacity",
-    )
-    parser.add_argument(
-        "--supply-dip", type=float, default=0.0, metavar="FRAC",
-        help="mid-run supply dip fraction (0 disables)",
-    )
-    parser.add_argument(
-        "--dip-at", type=int, default=None, metavar="TICK",
-        help="tick the dip starts (default: half the run)",
-    )
-    parser.add_argument(
-        "--supply-csv", type=str, default=None, metavar="FILE",
-        help="drive the root budget from a time,budget CSV "
-             "(overrides --supply-factor/--supply-dip)",
-    )
-    parser.add_argument(
-        "--no-consolidation", action="store_true",
-        help="disable consolidation/sleep",
-    )
-    parser.add_argument(
-        "--vectorized", action="store_true",
-        help="use the array-based controller (same results, faster)",
-    )
-    parser.add_argument(
-        "--p-min", type=float, default=None, help="migration margin (W)"
-    )
-    parser.add_argument(
-        "--battery", type=str, default=None, metavar="CAPACITY[:RATE]",
-        help="buffer the supply through a UPS battery: capacity in "
-             "W*ticks, optional charge/discharge rate in W "
-             "(default rate: capacity/8)",
-    )
-    parser.add_argument(
-        "--export-csv", type=str, default=None, metavar="DIR",
-        help="write per-record CSVs to DIR",
-    )
-    parser.add_argument(
-        "--export-json", type=str, default=None, metavar="FILE",
-        help="write the full run as JSON",
-    )
-    _add_trace_argument(parser)
-    return parser
+class CliError(Exception):
+    """An invocation rejected while its run is parsed or built: ``main``
+    prints the message on one line to stderr and returns 2."""
 
 
-def _add_trace_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--trace", type=str, default=None, metavar="FILE",
-        help="record a structured tick trace (JSONL; replay with "
-             "'python -m repro.cli trace FILE')",
-    )
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise CliError(f"{self.prog}: error: {message}")
+
+    @property
+    def version(self) -> str:
+        # Read only on --version: no package-metadata lookup per start.
+        return f"repro {package_version()}"
+
+
+@contextmanager
+def _building(prefix: str = ""):
+    """A library constructor's ``ValueError`` while a run is built is a
+    bad flag value: exit 2 with its message, not a traceback."""
+    try:
+        yield
+    except ValueError as error:
+        raise CliError(f"{prefix}{error}") from None
+
+
+# ----------------------------------------------------------- argument types
+def _checked(kind, ok, rule: str):
+    """An argparse ``type``: convert with ``kind``, then require ``ok``."""
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    return parse
+
+
+def _at_least(low, kind=int):
+    return _checked(kind, lambda value: value >= low, f">= {low}")
+
+
+_FRACTION = _checked(float, lambda value: 0.0 < value <= 1.0, "in (0, 1]")
+_PROBABILITY = _checked(float, lambda value: 0.0 <= value < 1.0, "in [0, 1)")
+_POSITIVE = _checked(float, lambda value: value > 0.0, "> 0")
+_COUNT = _at_least(1)
+_PORT = _checked(int, lambda value: 0 <= value <= 65535, "in [0, 65535]")
+
+
+def _int_list(text: str) -> Tuple[int, ...]:
+    """``A,B,C``: comma-separated ints, each >= 1."""
+    return tuple(_COUNT(part) for part in text.split(","))
+
+
+def _output_file(path: str) -> str:
+    """A single-file output flag: its directory must already exist.
+
+    The run fails up front instead of with a traceback deep inside
+    ``open`` -- and without silently creating whole directory trees the
+    user probably mistyped.  Directory outputs (``--export-csv DIR``,
+    ``checkpoint DIR``) are created instead.
+    """
+    parent = Path(path).expanduser().parent
+    if not parent.is_dir():
+        raise argparse.ArgumentTypeError(
+            f"directory {parent} does not exist "
+            f"(create it first, or check the path)"
+        )
+    return path
+
+
+def _spec(parse):
+    """An argparse ``type`` checking a spec string with ``parse``; the
+    run keeps the text."""
+
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+        return text
+
+    return check
+
+
+def _forecast_model(text: str):
+    from repro.federation import resolve_forecast_model
+
+    return resolve_forecast_model(text)
+
+
+# --------------------------------------------------------- subcommand table
+Argument = Tuple[Tuple[str, ...], dict]
+
+
+def _arg(*names: str, **kwargs) -> Argument:
+    """One ``add_argument`` call, as table data."""
+    return names, kwargs
+
+
+def _flag(*names: str, **defaults) -> Callable[..., Argument]:
+    """A flag several subcommands share: call it with what differs."""
+    return lambda **overrides: _arg(*names, **{**defaults, **overrides})
+
+
+def _switch(flag: str, help: str) -> Argument:
+    """An on/off flag."""
+    return _arg(flag, action="store_true", help=help)
+
+
+def _injected(flag: str, what: str) -> Argument:
+    """A count of seeded fault windows to inject."""
+    return _arg(flag, type=_at_least(0), default=0, metavar="N",
+                help=f"inject N seeded {what} windows")
+
+
+_TICKS = _flag("--ticks", type=_COUNT, help="control ticks to run")
+_SEED = _flag("--seed", type=int, default=0, help="RNG seed")
+_UTILIZATION = _flag(
+    "--utilization", type=_FRACTION, default=0.5,
+    help="target mean utilization in (0, 1] (default 0.5)",
+)
+_TRACE = _flag(
+    "--trace", type=_output_file, default=None, metavar="FILE",
+    help="record a structured tick trace (JSONL; replay with "
+         "'python -m repro.cli trace FILE')",
+)
+_BRANCHING = _flag(
+    "--branching", type=_int_list, default=None, metavar="A,B,C",
+    help="custom balanced tree, e.g. 3,3,3 (default: paper's 2,3,3)",
+)
+_SUPPLY_FACTOR = _flag(
+    "--supply-factor", type=_at_least(0.0, float), default=1.0
+)
+_VMS_PER_SERVER = _flag(
+    "--vms-per-server", type=_COUNT, default=4, metavar="N"
+)
+_BATTERY = _flag(
+    "--battery", type=_spec(parse_battery_spec), default=None,
+    metavar="CAPACITY[:RATE]",
+)
+_FORECAST = _flag(
+    "--forecast", type=_spec(_forecast_model), default="oracle",
+    metavar="SPEC",
+)
+_VECTORIZED = _flag("--vectorized", action="store_true")
+_FSYNC = _flag("--fsync", action="store_true")
+_OUTSIDE = _flag("--outside", type=float, default=35.0, metavar="DEGC")
+_SITES = _flag("--sites", type=_COUNT, default=2, metavar="N")
+_SITE_UTILIZATION = _UTILIZATION(
+    default=0.35,
+    help="per-site target mean utilization in (0, 1] (default 0.35)",
+)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand; ``name`` is ``None`` for the plain run."""
+
+    name: Optional[str]
+    description: str
+    arguments: Tuple[Argument, ...]
+    run: Callable[[argparse.Namespace], int]
+
+    def parser(self) -> argparse.ArgumentParser:
+        prog = "python -m repro.cli" + (f" {self.name}" if self.name else "")
+        parser = _Parser(prog=prog, description=self.description)
+        for names, kwargs in self.arguments:
+            parser.add_argument(*names, **kwargs)
+        return parser
+
+
+#: Every subcommand by name; ``None`` is the plain run.
+COMMANDS: Dict[Optional[str], Command] = {}
+
+
+def _command(name: Optional[str], description: str, *arguments: Argument):
+    """Register the decorated run function as subcommand ``name``."""
+
+    def register(run):
+        COMMANDS[name] = Command(name, description, arguments, run)
+        return run
+
+    return register
 
 
 def _open_tracer(path: Optional[str]):
@@ -161,208 +284,333 @@ def _open_tracer(path: Optional[str]):
 
 
 def _close_tracer(tracer, path: Optional[str]) -> None:
-    if tracer is not None:
+    if path:
         tracer.close()
         print(f"wrote trace to {path}")
 
 
-def _missing_parent(path: str, flag: str) -> Optional[str]:
-    """A clear error message when an output path's directory is absent.
-
-    Output flags that write a single file (``bench --profile``, the
-    ``serve`` audit log) fail up front with this instead of a traceback
-    deep inside ``open``/``dump_stats`` -- and without silently
-    creating whole directory trees the user probably mistyped.
-    """
-    from pathlib import Path
-
-    parent = Path(path).expanduser().parent
-    if not parent.is_dir():
-        return (
-            f"{flag}: directory {parent} does not exist "
-            f"(create it first, or check the path)"
-        )
-    return None
-
-
-def build_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli bench",
-        description="Run the hot-path benchmark harness.",
+def _print_run_header(kind: str, n_servers: int, args, extra: str = ""):
+    print(
+        f"{kind} run: {n_servers} servers, U={args.utilization:.0%}, "
+        f"{args.ticks} ticks, seed {args.seed}{extra}"
     )
-    parser.add_argument(
+
+
+def _print_fault_windows(faults) -> None:
+    """One ``fault: WHAT ticks [start, end)`` line per ``(WHAT, window)``."""
+    for what, window in faults:
+        print(f"fault: {what} ticks [{window.start_tick}, {window.end_tick})")
+
+
+def _print_thermal_safety(worst: float, t_limit: float, violations=None):
+    counted = "" if violations is None else f", {violations} violations"
+    ok = worst <= t_limit + 1e-6 and not violations
+    print(
+        f"thermal safety: worst temperature {worst:.2f} C vs "
+        f"T_limit {t_limit:.0f} C{counted} ({'OK' if ok else 'VIOLATED'})"
+    )
+
+
+#: What ``checkpoint`` records in every checkpoint's meta so ``resume``
+#: can rebuild the identical twin through :func:`_build_run`.
+_RECIPE = ("seed", "vectorized", "utilization", "branching",
+           "supply_factor", "vms_per_server")
+
+
+def _build_run(
+    *,
+    seed: int,
+    vectorized: bool,
+    utilization: float,
+    branching,
+    supply_factor: float,
+    vms_per_server: int = 4,
+    config=None,
+    supply=None,
+    hot: int = 0,
+    trace: Optional[str] = None,
+):
+    """A batch controller for the plain run, ``checkpoint`` and ``resume``.
+
+    The same (tree, supply, placement, seed) recipe on both sides is
+    what makes ``resume``'s restore onto a fresh twin bit-exact.
+    ``supply`` maps the nominal supply to the trace (default constant);
+    the ``trace`` file is opened last, once everything else is accepted.
+    """
+    from repro.core import WillowConfig, WillowController
+    from repro.core.vectorized import VectorizedWillowController
+    from repro.power import constant_supply
+    from repro.sim import RandomStreams
+    from repro.topology import build_balanced, build_paper_simulation
+    from repro.workload import (
+        SIMULATION_APPS,
+        random_placement,
+        scale_for_target_utilization,
+    )
+
+    with _building():
+        tree = (
+            build_balanced([int(b) for b in branching])
+            if branching
+            else build_paper_simulation()
+        )
+        servers = tree.servers()
+        if hot > len(servers):
+            raise CliError("--hot exceeds server count")
+        config = config or WillowConfig()
+        nominal = supply_factor * len(servers) * config.circuit_limit
+        placement = random_placement(
+            [s.node_id for s in servers],
+            SIMULATION_APPS,
+            RandomStreams(seed)["placement"],
+            vms_per_server=vms_per_server,
+        )
+        scale_for_target_utilization(
+            placement, config.server_model.slope, utilization
+        )
+        cls = VectorizedWillowController if vectorized else WillowController
+        return cls(
+            tree, config, (supply or constant_supply)(nominal), placement,
+            ambient_overrides={
+                s.name: 40.0 for s in servers[len(servers) - hot:]
+            },
+            seed=seed, tracer=_open_tracer(trace),
+        )
+
+
+# -------------------------------------------------------------- subcommands
+@_command(
+    None,
+    "Run Willow on a simulated data center.",
+    _arg("--version", action="version"),
+    _UTILIZATION(),
+    _TICKS(default=100),
+    _SEED(),
+    _arg(
+        "--hot", type=_at_least(0), default=0, metavar="N",
+        help="put the last N servers in a 40C hot zone",
+    ),
+    _BRANCHING(),
+    _SUPPLY_FACTOR(
+        help="nominal supply as a multiple of fleet circuit capacity"
+    ),
+    _arg(
+        "--supply-dip", type=_PROBABILITY, default=0.0, metavar="FRAC",
+        help="mid-run supply dip fraction (0 disables)",
+    ),
+    _arg(
+        "--dip-at", type=_COUNT, default=None, metavar="TICK",
+        help="tick the dip starts (default: half the run)",
+    ),
+    _arg(
+        "--supply-csv", default=None, metavar="FILE",
+        help="drive the root budget from a time,budget CSV "
+             "(overrides --supply-factor/--supply-dip)",
+    ),
+    _switch("--no-consolidation", "disable consolidation/sleep"),
+    _VECTORIZED(help="use the array-based controller (same results, faster)"),
+    _arg(
+        "--p-min", type=_at_least(0.0, float), default=None,
+        help="migration margin (W)",
+    ),
+    _BATTERY(
+        help="buffer the supply through a UPS battery: capacity in "
+             "W*ticks, optional charge/discharge rate in W "
+             "(default rate: capacity/8)",
+    ),
+    _arg(
+        "--export-csv", default=None, metavar="DIR",
+        help="write per-record CSVs to DIR",
+    ),
+    _arg(
+        "--export-json", type=_output_file, default=None, metavar="FILE",
+        help="write the full run as JSON",
+    ),
+    _TRACE(),
+)
+def _run(args) -> int:
+    from repro.core import WillowConfig
+    from repro.metrics import summarize_run
+    from repro.metrics.export import export_csv, export_json
+    from repro.power import (
+        buffer_supply,
+        constant_supply,
+        step_supply,
+        supply_from_csv,
+    )
+
+    config = WillowConfig(
+        consolidation_enabled=not args.no_consolidation,
+        **({} if args.p_min is None else {"p_min": args.p_min}),
+    )
+
+    def supply(nominal):
+        if args.supply_csv:
+            try:
+                trace = supply_from_csv(args.supply_csv)
+            except (OSError, ValueError) as error:
+                raise CliError(f"--supply-csv: {error}") from None
+        elif args.supply_dip > 0:
+            dip_at = args.dip_at or max(1, args.ticks // 2)
+            trace = step_supply(
+                [(0.0, nominal), (float(dip_at), nominal * (1 - args.supply_dip))]
+            )
+        else:
+            trace = constant_supply(nominal)
+        if args.battery is None:
+            return trace
+        return buffer_supply(
+            trace,
+            parse_battery_spec(args.battery).build(),
+            duration=args.ticks * config.delta_d,
+            dt=config.delta_d,
+        )
+
+    controller = _build_run(
+        seed=args.seed,
+        vectorized=args.vectorized,
+        utilization=args.utilization,
+        branching=args.branching,
+        supply_factor=args.supply_factor,
+        config=config,
+        supply=supply,
+        hot=args.hot,
+        trace=args.trace,
+    )
+    collector = controller.run(args.ticks)
+    _close_tracer(controller.tracer, args.trace)
+
+    _print_run_header(
+        "Willow", len(controller.tree.servers()), args,
+        f", hot zone on last {args.hot}" if args.hot else "",
+    )
+    print(summarize_run(collector).format())
+
+    if args.export_csv:
+        written = export_csv(collector, args.export_csv)
+        print(f"wrote {len(written)} CSV files to {args.export_csv}")
+    if args.export_json:
+        path = export_json(collector, args.export_json)
+        print(f"wrote {path}")
+    return 0
+
+
+@_command(
+    "bench",
+    "Run the hot-path benchmark harness.",
+    _arg(
         "suite", nargs="?", choices=("all", "service", "gym"), default="all",
         help="'service' or 'gym' reruns only that suite and merges it "
              "into an existing BENCH_tick.json (default: all suites)",
-    )
-    parser.add_argument(
-        "--out", type=str, default=".", metavar="DIR",
+    ),
+    _arg(
+        "--out", default=".", metavar="DIR",
         help="directory for BENCH_tick.json / BENCH_sweep.json (default .)",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="smoke-sized run (fewer ticks/iterations, same schema)",
-    )
-    parser.add_argument(
-        "--sizes", type=str, default=None, metavar="N,M",
+    ),
+    _switch(
+        "--quick", "smoke-sized run (fewer ticks/iterations, same schema)"
+    ),
+    _arg(
+        "--sizes", type=_int_list, default=None, metavar="N,M",
         help="comma-separated fleet sizes from {18, 64, 256}",
-    )
-    parser.add_argument(
-        "--profile", type=str, default=None, metavar="FILE",
+    ),
+    _arg(
+        "--profile", type=_output_file, default=None, metavar="FILE",
         help="profile the benchmark run with cProfile and dump pstats "
              "to FILE (inspect with 'python -m pstats FILE')",
-    )
-    return parser
+    ),
+)
+def _bench(args) -> int:
+    from repro.benchmarks import harness
 
-
-def bench_main(argv: List[str]) -> int:
-    args = build_bench_parser().parse_args(argv)
-    from repro.benchmarks.harness import (
-        FLEET_SHAPES,
-        format_gym_report,
-        format_report,
-        format_service_report,
-        run_benchmarks,
-        run_gym_benchmark,
-        run_service_benchmark,
-    )
-
-    sizes = None
-    if args.sizes:
-        try:
-            sizes = tuple(int(x) for x in args.sizes.split(","))
-        except ValueError:
-            print("--sizes must be comma-separated ints", file=sys.stderr)
-            return 2
-        unknown = [s for s in sizes if s not in FLEET_SHAPES]
-        if unknown:
-            print(
-                f"--sizes must be from {sorted(FLEET_SHAPES)}, got {unknown}",
-                file=sys.stderr,
-            )
-            return 2
-    if args.profile:
-        error = _missing_parent(args.profile, "--profile")
-        if error:
-            print(error, file=sys.stderr)
-            return 2
+    shapes = harness.FLEET_SHAPES
+    unknown = [s for s in args.sizes or () if s not in shapes]
+    if unknown:
+        raise CliError(f"--sizes must be from {sorted(shapes)}, got {unknown}")
+    # A single suite is rerun and merged into an existing BENCH_tick.json.
+    run_suite, format_suite = {
+        "service": (harness.run_service_benchmark,
+                    harness.format_service_report),
+        "gym": (harness.run_gym_benchmark, harness.format_gym_report),
+    }.get(args.suite, (None, None))
 
     def run():
-        if args.suite == "service":
-            return {"tick": run_service_benchmark(args.out, quick=args.quick)}
-        if args.suite == "gym":
-            return {"tick": run_gym_benchmark(args.out, quick=args.quick)}
-        return run_benchmarks(args.out, quick=args.quick, sizes=sizes)
+        if run_suite is not None:
+            return {"tick": run_suite(args.out, quick=args.quick)}
+        return harness.run_benchmarks(
+            args.out, quick=args.quick, sizes=args.sizes
+        )
 
     if args.profile:
         import cProfile
         import pstats
 
-        profiler = cProfile.Profile()
-        profiler.enable()
-        try:
+        with cProfile.Profile() as profiler:
             paths = run()
-        finally:
-            profiler.disable()
         stats = pstats.Stats(profiler)
         stats.dump_stats(args.profile)
         print(f"wrote profile to {args.profile}; top by cumulative time:")
         stats.sort_stats("cumulative").print_stats(15)
     else:
         paths = run()
-    if args.suite in ("service", "gym"):
+    if run_suite is not None:
         import json
 
         payload = json.loads(paths["tick"].read_text())
-        if args.suite == "service":
-            print(format_service_report(payload["service"]))
-        else:
-            print(format_gym_report(payload["gym"]))
+        print(format_suite(payload[args.suite]))
         print(f"wrote {paths['tick']}")
     else:
-        print(format_report(paths))
+        print(harness.format_report(paths))
         print(f"wrote {paths['tick']} and {paths['sweep']}")
     return 0
 
 
-def build_degraded_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli degraded",
-        description=(
-            "Run the distributed control plane under lossy transport and "
-            "fault injection; report divergence from the ideal controller."
-        ),
-    )
-    parser.add_argument(
-        "--ticks", type=int, default=80, help="control ticks to run"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument(
-        "--utilization", type=float, default=0.5,
-        help="target mean utilization in (0, 1] (default 0.5)",
-    )
-    parser.add_argument(
-        "--drop", type=float, default=0.0, metavar="P",
+def bench_main(argv: List[str]) -> int:
+    """``python -m repro.cli bench ARGV`` (``benchmarks/harness.py``)."""
+    return main(["bench", *argv])
+
+
+@_command(
+    "degraded",
+    "Run the distributed control plane under lossy transport and "
+    "fault injection; report divergence from the ideal controller.",
+    _TICKS(default=80),
+    _SEED(),
+    _UTILIZATION(),
+    _arg(
+        "--drop", type=_PROBABILITY, default=0.0, metavar="P",
         help="per-link message drop probability in [0, 1)",
-    )
-    parser.add_argument(
-        "--latency", type=int, default=0, metavar="TICKS",
+    ),
+    _arg(
+        "--latency", type=_at_least(0), default=0, metavar="TICKS",
         help="per-link base delivery latency in ticks",
-    )
-    parser.add_argument(
-        "--jitter", type=int, default=0, metavar="TICKS",
+    ),
+    _arg(
+        "--jitter", type=_at_least(0), default=0, metavar="TICKS",
         help="uniform extra delay in {0..JITTER} ticks per transmission",
-    )
-    parser.add_argument(
-        "--dup", type=float, default=0.0, metavar="P",
+    ),
+    _arg(
+        "--dup", type=_PROBABILITY, default=0.0, metavar="P",
         help="per-link duplication probability in [0, 1)",
-    )
-    parser.add_argument(
-        "--reorder", type=float, default=0.0, metavar="P",
+    ),
+    _arg(
+        "--reorder", type=_PROBABILITY, default=0.0, metavar="P",
         help="probability a message is held back an extra tick",
-    )
-    parser.add_argument(
-        "--crashes", type=int, default=0, metavar="N",
-        help="inject N seeded PMU crash/restart windows",
-    )
-    parser.add_argument(
-        "--partitions", type=int, default=0, metavar="N",
-        help="inject N seeded link-partition windows",
-    )
-    parser.add_argument(
-        "--ttl", type=int, default=None, metavar="TICKS",
+    ),
+    _injected("--crashes", "PMU crash/restart"),
+    _injected("--partitions", "link-partition"),
+    _arg(
+        "--ttl", type=_COUNT, default=None, metavar="TICKS",
         help="budget staleness TTL (default: 3 supply periods)",
-    )
-    parser.add_argument(
-        "--unreliable", action="store_true",
-        help="disable acks/retries (fire-and-forget transport)",
-    )
-    _add_trace_argument(parser)
-    return parser
-
-
-def degraded_main(argv: List[str]) -> int:
-    args = build_degraded_parser().parse_args(argv)
-    if not 0.0 < args.utilization <= 1.0:
-        print("--utilization must be in (0, 1]", file=sys.stderr)
-        return 2
-    if args.ticks < 1:
-        print("--ticks must be >= 1", file=sys.stderr)
-        return 2
-    for name in ("drop", "dup", "reorder"):
-        if not 0.0 <= getattr(args, name) < 1.0:
-            print(f"--{name} must be in [0, 1)", file=sys.stderr)
-            return 2
-    if args.latency < 0 or args.jitter < 0:
-        print("--latency/--jitter must be >= 0", file=sys.stderr)
-        return 2
-    if args.crashes < 0 or args.partitions < 0:
-        print("--crashes/--partitions must be >= 0", file=sys.stderr)
-        return 2
-
+    ),
+    _switch(
+        "--unreliable", "disable acks/retries (fire-and-forget transport)"
+    ),
+    _TRACE(),
+)
+def _degraded(args) -> int:
     from repro.control_plane import (
         ControlPlaneConfig,
-        FaultSchedule,
         LinkProfile,
         StalenessPolicy,
         divergence_summary,
@@ -387,15 +635,13 @@ def degraded_main(argv: List[str]) -> int:
         staleness=StalenessPolicy(ttl_ticks=args.ttl),
         reliable=not args.unreliable,
     )
-    faults = FaultSchedule()
-    if args.crashes or args.partitions:
-        faults = random_fault_schedule(
-            tree,
-            seed=args.seed,
-            horizon_ticks=args.ticks,
-            n_crashes=args.crashes,
-            n_partitions=args.partitions,
-        )
+    faults = random_fault_schedule(
+        tree,
+        seed=args.seed,
+        horizon_ticks=args.ticks,
+        n_crashes=args.crashes,
+        n_partitions=args.partitions,
+    )
 
     run_kwargs = dict(
         config=config,
@@ -411,25 +657,16 @@ def degraded_main(argv: List[str]) -> int:
     _close_tracer(tracer, args.trace)
     _, ideal = run_willow(**run_kwargs)
 
-    print(
-        f"Distributed Willow run: {len(tree.servers())} servers, "
-        f"U={args.utilization:.0%}, {args.ticks} ticks, seed {args.seed}"
-    )
+    _print_run_header("Distributed Willow", len(tree.servers()), args)
     print(
         f"transport: drop={args.drop}, latency={args.latency}t, "
         f"jitter={args.jitter}t, dup={args.dup}, reorder={args.reorder}, "
         f"{'unreliable' if args.unreliable else 'reliable (ack+retry)'}"
     )
-    for crash in faults.crashes:
-        print(
-            f"fault: PMU {crash.node_id} down ticks "
-            f"[{crash.start_tick}, {crash.end_tick})"
-        )
-    for part in faults.partitions:
-        print(
-            f"fault: link {part.link} partitioned ticks "
-            f"[{part.start_tick}, {part.end_tick})"
-        )
+    _print_fault_windows(
+        [(f"PMU {c.node_id} down", c) for c in faults.crashes]
+        + [(f"link {p.link} partitioned", p) for p in faults.partitions]
+    )
     print(summarize_run(collector).format())
 
     stats = controller.transport_stats()
@@ -450,95 +687,46 @@ def degraded_main(argv: List[str]) -> int:
         f"temperature {summary['temperature_mean']:.3f} C mean / "
         f"{summary['temperature_max']:.2f} C max"
     )
-    t_limit = config.thermal.t_limit
-    worst = max(s.temperature for s in collector.server_samples)
-    print(
-        f"thermal safety: worst temperature {worst:.2f} C vs "
-        f"T_limit {t_limit:.0f} C "
-        f"({'OK' if worst <= t_limit + 1e-6 else 'VIOLATED'})"
+    _print_thermal_safety(
+        max(s.temperature for s in collector.server_samples),
+        config.thermal.t_limit,
     )
     return 0
 
 
-def build_resilience_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli resilience",
-        description=(
-            "Run Willow under physical plant faults (crashes, sensor "
-            "faults, cooling derates, circuit trips) with the sensor-"
-            "fault-tolerant controller; report QoS loss and safety."
-        ),
-    )
-    parser.add_argument(
-        "--ticks", type=int, default=80, help="control ticks to run"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument(
-        "--utilization", type=float, default=0.5,
-        help="target mean utilization in (0, 1] (default 0.5)",
-    )
-    parser.add_argument(
-        "--crashes", type=int, default=0, metavar="N",
-        help="inject N seeded server crash/restart windows",
-    )
-    parser.add_argument(
-        "--sensor-faults", type=int, default=0, metavar="N",
-        help="inject N seeded thermal-sensor fault windows",
-    )
-    parser.add_argument(
-        "--cooling-events", type=int, default=0, metavar="N",
-        help="inject N seeded CRAC derate windows",
-    )
-    parser.add_argument(
-        "--trips", type=int, default=0, metavar="N",
-        help="inject N seeded branch-circuit trip windows",
-    )
-    parser.add_argument(
-        "--outside", type=float, default=35.0, metavar="DEGC",
-        help="outside air temperature mixed in by degraded cooling",
-    )
-    _add_trace_argument(parser)
-    return parser
-
-
-def resilience_main(argv: List[str]) -> int:
-    args = build_resilience_parser().parse_args(argv)
-    if not 0.0 < args.utilization <= 1.0:
-        print("--utilization must be in (0, 1]", file=sys.stderr)
-        return 2
-    if args.ticks < 1:
-        print("--ticks must be >= 1", file=sys.stderr)
-        return 2
-    for name in ("crashes", "sensor_faults", "cooling_events", "trips"):
-        if getattr(args, name) < 0:
-            print(
-                f"--{name.replace('_', '-')} must be >= 0", file=sys.stderr
-            )
-            return 2
-
+@_command(
+    "resilience",
+    "Run Willow under physical plant faults (crashes, sensor "
+    "faults, cooling derates, circuit trips) with the sensor-"
+    "fault-tolerant controller; report QoS loss and safety.",
+    _TICKS(default=80),
+    _SEED(),
+    _UTILIZATION(),
+    _injected("--crashes", "server crash/restart"),
+    _injected("--sensor-faults", "thermal-sensor fault"),
+    _injected("--cooling-events", "CRAC derate"),
+    _injected("--trips", "branch-circuit trip"),
+    _OUTSIDE(help="outside air temperature mixed in by degraded cooling"),
+    _TRACE(),
+)
+def _resilience(args) -> int:
     from repro.core import WillowConfig
     from repro.core.events import MigrationCause
     from repro.metrics import summarize_run
-    from repro.plant_faults import (
-        PlantFaultSchedule,
-        random_plant_schedule,
-        run_resilient,
-    )
+    from repro.plant_faults import random_plant_schedule, run_resilient
     from repro.topology import build_paper_simulation
 
     config = WillowConfig()
     tree = build_paper_simulation()
-    schedule = PlantFaultSchedule()
-    if args.crashes or args.sensor_faults or args.cooling_events or args.trips:
-        schedule = random_plant_schedule(
-            tree,
-            seed=args.seed,
-            horizon_ticks=args.ticks,
-            n_crashes=args.crashes,
-            n_sensor_faults=args.sensor_faults,
-            n_cooling_events=args.cooling_events,
-            n_circuit_trips=args.trips,
-        )
+    schedule = random_plant_schedule(
+        tree,
+        seed=args.seed,
+        horizon_ticks=args.ticks,
+        n_crashes=args.crashes,
+        n_sensor_faults=args.sensor_faults,
+        n_cooling_events=args.cooling_events,
+        n_circuit_trips=args.trips,
+    )
 
     tracer = _open_tracer(args.trace)
     controller, collector = run_resilient(
@@ -553,53 +741,33 @@ def resilience_main(argv: List[str]) -> int:
     )
     _close_tracer(tracer, args.trace)
 
-    print(
-        f"Resilient Willow run: {len(tree.servers())} servers, "
-        f"U={args.utilization:.0%}, {args.ticks} ticks, seed {args.seed}"
-    )
+    _print_run_header("Resilient Willow", len(tree.servers()), args)
     print(
         f"plant faults: crashes={len(schedule.crashes)} "
         f"sensor={len(schedule.sensor_faults)} "
         f"cooling={len(schedule.cooling)} trips={len(schedule.trips)} "
         f"(outside {args.outside:.0f} C)"
     )
-    for crash in schedule.crashes:
-        print(
-            f"fault: server {crash.server_id} crashed ticks "
-            f"[{crash.start_tick}, {crash.end_tick})"
-        )
-    for fault in schedule.sensor_faults:
-        print(
-            f"fault: sensor {fault.server_id} {fault.kind} ticks "
-            f"[{fault.start_tick}, {fault.end_tick})"
-        )
-    for event in schedule.cooling:
-        zone = "facility" if event.zone_id is None else f"zone {event.zone_id}"
-        print(
-            f"fault: cooling {zone} derate {event.derate:.0%} ticks "
-            f"[{event.start_tick}, {event.end_tick})"
-        )
-    for trip in schedule.trips:
-        print(
-            f"fault: circuit {trip.node_id} tripped ticks "
-            f"[{trip.start_tick}, {trip.end_tick})"
-        )
+    _print_fault_windows(
+        [(f"server {c.server_id} crashed", c) for c in schedule.crashes]
+        + [(f"sensor {f.server_id} {f.kind}", f)
+           for f in schedule.sensor_faults]
+        + [("cooling " + ("facility" if e.zone_id is None
+                          else f"zone {e.zone_id}")
+            + f" derate {e.derate:.0%}", e) for e in schedule.cooling]
+        + [(f"circuit {t.node_id} tripped", t) for t in schedule.trips]
+    )
     print(summarize_run(collector).format())
     print(
         f"evacuations          : "
         f"{collector.migration_count(MigrationCause.EVACUATION)}"
     )
-    t_limit = config.thermal.t_limit
-    worst = max(s.temperature for s in collector.server_samples)
+    _print_thermal_safety(
+        max(s.temperature for s in collector.server_samples),
+        config.thermal.t_limit,
+        sum(s.thermal.violations for s in controller.servers.values()),
+    )
     min_budget = min(s.budget for s in collector.server_samples)
-    violations = sum(
-        s.thermal.violations for s in controller.servers.values()
-    )
-    print(
-        f"thermal safety: worst temperature {worst:.2f} C vs "
-        f"T_limit {t_limit:.0f} C, {violations} violations "
-        f"({'OK' if worst <= t_limit + 1e-6 and not violations else 'VIOLATED'})"
-    )
     print(
         f"budget floor: {min_budget:.2f} W "
         f"({'OK' if min_budget >= 0 else 'VIOLATED'})"
@@ -607,161 +775,103 @@ def resilience_main(argv: List[str]) -> int:
     return 0
 
 
-def build_federation_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli federation",
-        description=(
-            "Run a geo-federation: N Willow sites on anti-correlated "
-            "solar supply, tick-locked, with supply-aware cross-site "
-            "load shifting (see docs/federation.md)."
-        ),
-    )
-    parser.add_argument(
-        "--sites", type=int, default=2, metavar="N",
-        help="number of sites (solar humps spread 1/N day apart)",
-    )
-    parser.add_argument(
-        "--ticks", type=int, default=192, help="control ticks to run"
-    )
-    parser.add_argument("--seed", type=int, default=1, help="RNG seed")
-    parser.add_argument(
-        "--utilization", type=float, default=0.35,
-        help="per-site target mean utilization in (0, 1] (default 0.35)",
-    )
-    parser.add_argument(
-        "--policy", type=str, default="proportional",
+@_command(
+    "federation",
+    "Run a geo-federation: N Willow sites on anti-correlated "
+    "solar supply, tick-locked, with supply-aware cross-site "
+    "load shifting (see docs/federation.md).",
+    _SITES(help="number of sites (solar humps spread 1/N day apart)"),
+    _TICKS(default=192),
+    _SEED(default=1),
+    _SITE_UTILIZATION,
+    _arg(
+        "--policy", default="proportional",
         help="shifting policy: neutral, proportional, greedy-greenest, "
              "price-aware, predictive (default proportional)",
-    )
-    parser.add_argument(
-        "--horizon", type=int, default=0, metavar="K",
+    ),
+    _arg(
+        "--horizon", type=_at_least(0), default=0, metavar="K",
         help="lookahead supply periods for --policy predictive "
              "(0 degrades to proportional; default 0)",
-    )
-    parser.add_argument(
-        "--cooling", action="store_true",
-        help="charge the modeled cooling-plant overhead against every "
-             "site budget and let the predictive planner actuate "
-             "supply-air setpoints (incompatible with --vectorized)",
-    )
-    parser.add_argument(
+    ),
+    _switch(
+        "--cooling",
+        "charge the modeled cooling-plant overhead against every "
+        "site budget and let the predictive planner actuate "
+        "supply-air setpoints (incompatible with --vectorized)",
+    ),
+    _arg(
         "--outside-temp", type=float, default=30.0, metavar="DEG_C",
         help="outside air temperature for --cooling (default 30)",
-    )
-    parser.add_argument(
-        "--wan-cost", type=float, default=None, metavar="W",
+    ),
+    _arg(
+        "--wan-cost", type=_at_least(0.0, float), default=None, metavar="W",
         help="WAN migration cost charged to both end servers "
              "(default: 4x the intra-site migration cost)",
-    )
-    parser.add_argument(
-        "--wan-ticks", type=int, default=None, metavar="N",
+    ),
+    _arg(
+        "--wan-ticks", type=_at_least(0), default=None, metavar="N",
         help="ticks the WAN cost persists (default: 2x intra-site)",
-    )
-    parser.add_argument(
-        "--battery", type=str, default=None, metavar="CAPACITY[:RATE]",
+    ),
+    _BATTERY(
         help="give every site a UPS battery (starts empty): capacity "
              "in W*ticks, optional rate in W (default: capacity/8)",
-    )
-    parser.add_argument(
-        "--solar-peak", type=float, default=None, metavar="W",
+    ),
+    _arg(
+        "--solar-peak", type=_POSITIVE, default=None, metavar="W",
         help="per-site solar peak in W (default: the federation "
              "experiment's sizing)",
-    )
-    parser.add_argument(
-        "--forecast", type=str, default="oracle", metavar="SPEC",
+    ),
+    _FORECAST(
         help="supply forecast model for forecast-aware policies: "
              "oracle, persistence, noisy-oracle:SIGMA[:SEED], "
              "ar1:RHO:SIGMA[:SEED] (default oracle)",
-    )
-    parser.add_argument(
-        "--vectorized", action="store_true",
+    ),
+    _VECTORIZED(
         help="batch all sites into one shared fleet block "
              "(same results, faster; see docs/performance.md)",
-    )
-    _add_trace_argument(parser)
-    return parser
-
-
-def federation_main(argv: List[str]) -> int:
-    args = build_federation_parser().parse_args(argv)
-    if args.sites < 1:
-        print("--sites must be >= 1", file=sys.stderr)
-        return 2
-    if args.ticks < 1:
-        print("--ticks must be >= 1", file=sys.stderr)
-        return 2
-    if not 0.0 < args.utilization <= 1.0:
-        print("--utilization must be in (0, 1]", file=sys.stderr)
-        return 2
-    if args.horizon < 0:
-        print("--horizon must be >= 0", file=sys.stderr)
-        return 2
-    if args.cooling and args.vectorized:
-        print("--cooling is incompatible with --vectorized", file=sys.stderr)
-        return 2
-
+    ),
+    _TRACE(),
+)
+def _federation(args) -> int:
     from repro.experiments.fig_federation import SOLAR_PEAK, build_specs
-    from repro.federation import POLICIES, run_federation
+    from repro.federation import POLICIES, CoolingControl, run_federation
     from repro.metrics.federation import summarize_federation
 
+    if args.cooling and args.vectorized:
+        raise CliError("--cooling is incompatible with --vectorized")
     if args.policy not in POLICIES:
-        print(
-            f"--policy must be one of {', '.join(sorted(POLICIES))}",
-            file=sys.stderr,
+        raise CliError(
+            f"--policy must be one of {', '.join(sorted(POLICIES))}"
         )
-        return 2
-    if not POLICIES[args.policy].forecast_aware:
-        # Lookahead knobs silently do nothing without the planner;
-        # reject them instead of pretending they took effect.
-        for flag, given in (
-            ("--horizon", args.horizon > 0),
-            ("--cooling", args.cooling),
-        ):
-            if given:
-                aware = sorted(
-                    name
-                    for name, fn in POLICIES.items()
-                    if fn.forecast_aware
-                )
-                print(
-                    f"{flag} needs a forecast-aware policy "
-                    f"({', '.join(aware)}); {args.policy!r} ignores it",
-                    file=sys.stderr,
-                )
-                return 2
-    from repro.federation import resolve_forecast_model
-
-    try:
-        forecast = resolve_forecast_model(args.forecast)
-    except ValueError as error:
-        print(f"--forecast: {error}", file=sys.stderr)
-        return 2
-    battery_capacity = 0.0
-    battery_rate = None
-    if args.battery is not None:
-        from repro.power import parse_battery_spec
-
-        try:
-            spec = parse_battery_spec(args.battery)
-        except ValueError as error:
-            print(f"--battery: {error}", file=sys.stderr)
-            return 2
-        battery_capacity = spec.capacity
-        battery_rate = spec.max_rate
-
+    # Lookahead knobs silently do nothing without the planner, which
+    # only a forecast-aware policy with --horizon > 0 builds; reject
+    # them instead of pretending they took effect.
+    aware = sorted(name for name, fn in POLICIES.items() if fn.forecast_aware)
+    for flag, given in (
+        ("horizon", args.horizon > 0),
+        ("cooling", args.cooling),
+        ("forecast", args.forecast != "oracle"),
+    ):
+        if given and args.policy not in aware:
+            raise CliError(
+                f"--{flag} needs a forecast-aware policy "
+                f"({', '.join(aware)}); {args.policy!r} ignores it"
+            )
+    if args.forecast != "oracle" and not args.horizon:
+        raise CliError(
+            "--forecast needs --horizon > 0: only the lookahead "
+            "planner reads the forecast"
+        )
+    battery = parse_battery_spec(args.battery) if args.battery else None
     specs = build_specs(
         args.sites,
-        battery_capacity=battery_capacity,
-        battery_rate=battery_rate,
+        battery_capacity=battery.capacity if battery else 0.0,
+        battery_rate=battery.max_rate if battery else None,
         target_utilization=args.utilization,
-        solar_peak=args.solar_peak or SOLAR_PEAK,
+        solar_peak=SOLAR_PEAK if args.solar_peak is None else args.solar_peak,
         seed=args.seed,
     )
-    cooling = None
-    if args.cooling:
-        from repro.federation import CoolingControl
-
-        cooling = CoolingControl(outside_temp=args.outside_temp)
     tracer = _open_tracer(args.trace)
     coordinator = run_federation(
         specs,
@@ -770,8 +880,11 @@ def federation_main(argv: List[str]) -> int:
         wan_cost_power=args.wan_cost,
         wan_cost_ticks=args.wan_ticks,
         horizon=args.horizon,
-        cooling=cooling,
-        forecast=forecast,
+        cooling=(
+            CoolingControl(outside_temp=args.outside_temp)
+            if args.cooling else None
+        ),
+        forecast=args.forecast,
         tracer=tracer,
         vectorized=args.vectorized,
     )
@@ -782,91 +895,90 @@ def federation_main(argv: List[str]) -> int:
         f"policy {args.policy}, U={args.utilization:.0%}, "
         f"{args.ticks} ticks, seed {args.seed}"
         + (f", horizon {args.horizon}" if args.horizon else "")
-        + (
-            f", forecast {args.forecast}"
-            if args.forecast != "oracle"
-            else ""
-        )
+        + (f", forecast {args.forecast}" if args.forecast != "oracle" else "")
         + (f", battery {args.battery} per site" if args.battery else "")
         + (", cooling actuation on" if args.cooling else "")
     )
     print(summarize_federation(coordinator).format())
-    t_limit = max(site.config.thermal.t_limit for site in coordinator.sites)
-    worst = max(
-        sample.temperature
-        for site in coordinator.sites
-        for sample in site.collector.server_samples
-    )
-    print(
-        f"thermal safety: worst temperature {worst:.2f} C vs "
-        f"T_limit {t_limit:.0f} C "
-        f"({'OK' if worst <= t_limit + 1e-6 else 'VIOLATED'})"
+    _print_thermal_safety(
+        max(
+            sample.temperature
+            for site in coordinator.sites
+            for sample in site.collector.server_samples
+        ),
+        max(site.config.thermal.t_limit for site in coordinator.sites),
     )
     return 0
 
 
-def build_trace_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli trace",
-        description=(
-            "Replay a recorded tick trace: explain one server's budget "
-            "at one tick (the allocation path down the tree with the "
-            "binding constraint at each level), or summarise the run."
-        ),
-    )
-    parser.add_argument(
-        "file", type=str, metavar="FILE",
+@_command(
+    "trace",
+    "Replay a recorded tick trace: explain one server's budget "
+    "at one tick (the allocation path down the tree with the "
+    "binding constraint at each level), or summarise the run.",
+    _arg(
+        "file", metavar="FILE",
         help="trace file recorded with --trace (rotated segments found "
              "automatically)",
-    )
-    parser.add_argument(
+    ),
+    _arg(
         "--server", type=int, default=None, metavar="ID",
         help="server (leaf) node id to explain (default: first leaf)",
-    )
-    parser.add_argument(
+    ),
+    _arg(
         "--tick", type=int, default=None, metavar="N",
         help="control tick to explain (default: last recorded)",
-    )
-    parser.add_argument(
+    ),
+    _arg(
         "--run", type=int, default=-1, metavar="I",
         help="which run in the file when it holds several (default: last)",
-    )
-    parser.add_argument(
-        "--histogram", action="store_true",
-        help="print the binding-constraint histogram over the whole run",
-    )
-    parser.add_argument(
+    ),
+    _switch(
+        "--histogram",
+        "print the binding-constraint histogram over the whole run",
+    ),
+    _arg(
         "--level", type=int, default=None, metavar="L",
         help="restrict --histogram to one tree level",
-    )
-    parser.add_argument(
-        "--events", action="store_true",
-        help="print plant / control-plane fault edges",
-    )
-    return parser
-
-
-def trace_main(argv: List[str]) -> int:
-    args = build_trace_parser().parse_args(argv)
+    ),
+    _switch("--events", "print plant / control-plane fault edges"),
+)
+def _trace(args) -> int:
     from repro.trace import TraceReader
 
     try:
         reader = TraceReader(args.file, run=args.run)
     except (OSError, ValueError, IndexError) as error:
-        print(f"trace: {error}", file=sys.stderr)
-        return 2
+        raise CliError(f"trace: {error}") from None
+
+    def histogram(title, counts, share=False):
+        total = sum(counts.values()) or 1
+        print(title)
+        for binding, count in sorted(counts.items(), key=lambda kv: -kv[1]):
+            print(f"  {binding:15s} {count}"
+                  + (f" ({count / total:.0%})" if share else ""))
 
     run = reader.run
-    did_something = False
+    explain = args.server is not None or args.tick is not None
+    if not (args.histogram or args.events or explain):
+        ticks = len(run.frames)
+        print(
+            f"trace of {run.controller or 'unknown controller'}: "
+            f"{len(reader.runs)} run(s), {ticks} tick frame(s) in "
+            f"run {args.run}, {len(run.leaf_ids())} servers"
+        )
+        histogram("binding constraints:", reader.constraint_histogram(), True)
+        events = reader.events()
+        print(f"{len(events)} fault edge(s); use --events to list them")
+        print(
+            "explain a server with: --server ID --tick N "
+            f"(servers: {run.leaf_ids()[:6]}..., last tick "
+            f"{reader.last_tick() if ticks else 'n/a'})"
+        )
     if args.histogram:
-        counts = reader.constraint_histogram(level=args.level)
         where = f" at level {args.level}" if args.level is not None else ""
-        print(f"binding constraints{where}:")
-        for binding, count in sorted(
-            counts.items(), key=lambda kv: -kv[1]
-        ):
-            print(f"  {binding:15s} {count}")
-        did_something = True
+        histogram(f"binding constraints{where}:",
+                  reader.constraint_histogram(level=args.level))
     if args.events:
         events = reader.events()
         print(f"{len(events)} fault edge(s):")
@@ -876,185 +988,110 @@ def trace_main(argv: List[str]) -> int:
                 f"  tick {event['tick']:>5} t={event['t']:g}: "
                 f"{event['kind']} @ node {event['node']}{detail}"
             )
-        did_something = True
-    if args.server is not None or args.tick is not None:
+    if explain:
         server = args.server
         if server is None:
             leaves = run.leaf_ids()
             if not leaves:
-                print("trace: meta frame lists no leaves", file=sys.stderr)
-                return 2
+                raise CliError("trace: meta frame lists no leaves")
             server = leaves[0]
         tick = args.tick if args.tick is not None else reader.last_tick()
         try:
             print(reader.explain(server, tick))
         except (KeyError, ValueError) as error:
-            print(f"trace: {error}", file=sys.stderr)
-            return 2
-        did_something = True
-    if not did_something:
-        ticks = len(run.frames)
-        print(
-            f"trace of {run.controller or 'unknown controller'}: "
-            f"{len(reader.runs)} run(s), {ticks} tick frame(s) in "
-            f"run {args.run}, {len(run.leaf_ids())} servers"
-        )
-        counts = reader.constraint_histogram()
-        total = sum(counts.values()) or 1
-        print("binding constraints:")
-        for binding, count in sorted(
-            counts.items(), key=lambda kv: -kv[1]
-        ):
-            print(f"  {binding:15s} {count} ({count / total:.0%})")
-        events = reader.events()
-        print(f"{len(events)} fault edge(s); use --events to list them")
-        print(
-            "explain a server with: --server ID --tick N "
-            f"(servers: {run.leaf_ids()[:6]}..., last tick "
-            f"{reader.last_tick() if ticks else 'n/a'})"
-        )
+            raise CliError(f"trace: {error}") from None
     return 0
 
 
-def build_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli serve",
-        description=(
-            "Run Willow-as-a-service: a live controller ticked on the "
-            "wall clock, fed by JSON-lines events over TCP through a "
-            "bounded queue, with every accepted event recorded in a "
-            "replayable audit log (see docs/service.md)."
-        ),
-    )
-    parser.add_argument(
-        "audit", type=str, metavar="AUDIT_FILE",
+@_command(
+    "serve",
+    "Run Willow-as-a-service: a live controller ticked on the "
+    "wall clock, fed by JSON-lines events over TCP through a "
+    "bounded queue, with every accepted event recorded in a "
+    "replayable audit log (see docs/service.md).",
+    _arg(
+        "audit", type=_output_file, metavar="AUDIT_FILE",
         help="audit log to write (JSONL; replay with "
              "'python -m repro.cli replay AUDIT_FILE')",
-    )
-    parser.add_argument(
-        "--host", type=str, default="127.0.0.1",
+    ),
+    _arg(
+        "--host", default="127.0.0.1",
         help="listen address (default 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--port", type=int, default=0,
+    ),
+    _arg(
+        "--port", type=_PORT, default=0,
         help="listen port (default 0 = ephemeral, printed on start)",
-    )
-    parser.add_argument(
-        "--no-listen", action="store_true",
-        help="no TCP server; ingest only via the in-process API "
-             "(embedding and tests)",
-    )
-    parser.add_argument(
-        "--ticks", type=int, default=None, metavar="N",
+    ),
+    _switch(
+        "--no-listen",
+        "no TCP server; ingest only via the in-process API "
+        "(embedding and tests)",
+    ),
+    _TICKS(
+        default=None, metavar="N",
         help="stop after N ticks (default: run until SIGINT/SIGTERM)",
-    )
-    parser.add_argument(
-        "--tick-seconds", type=float, default=None, metavar="S",
+    ),
+    _arg(
+        "--tick-seconds", type=_POSITIVE, default=None, metavar="S",
         help="wall-clock seconds per control tick (default: the "
              "config's delta_d = 1 s)",
-    )
-    parser.add_argument(
-        "--queue-bound", type=int, default=8192, metavar="N",
+    ),
+    _arg(
+        "--queue-bound", type=_COUNT, default=8192, metavar="N",
         help="max events pending between ticks; beyond it the gateway "
              "rejects with 429 + retry_after (default 8192)",
-    )
-    parser.add_argument(
-        "--controller", type=str, default="scalar",
-        choices=("scalar", "vectorized"),
+    ),
+    _arg(
+        "--controller", default="scalar", choices=("scalar", "vectorized"),
         help="embedded controller: scalar accepts live fault events, "
              "vectorized is faster at large fleets (default scalar)",
-    )
-    parser.add_argument(
-        "--utilization", type=float, default=0.5,
-        help="initial fleet utilization in (0, 1] (default 0.5)",
-    )
-    parser.add_argument(
-        "--vms-per-server", type=int, default=4, metavar="N",
+    ),
+    _UTILIZATION(help="initial fleet utilization in (0, 1] (default 0.5)"),
+    _VMS_PER_SERVER(
+        type=_at_least(0),
         help="initial VMs per server (0 = start empty; default 4)",
-    )
-    parser.add_argument(
-        "--branching", type=str, default=None, metavar="A,B,C",
-        help="custom balanced tree, e.g. 3,3,3 (default: paper's 2,3,3)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument(
-        "--supply-factor", type=float, default=1.0,
+    ),
+    _BRANCHING(),
+    _SEED(),
+    _SUPPLY_FACTOR(
         help="initial root budget as a multiple of fleet circuit "
              "capacity (supply_update events change it live)",
-    )
-    parser.add_argument(
-        "--outside", type=float, default=35.0, metavar="DEGC",
-        help="outside air temperature for cooling derates",
-    )
-    parser.add_argument(
-        "--fsync", action="store_true",
+    ),
+    _OUTSIDE(help="outside air temperature for cooling derates"),
+    _FSYNC(
         help="fsync the audit log at every tick boundary (crash-"
              "durable, costs a disk round-trip per tick)",
-    )
-    parser.add_argument(
-        "--load", type=int, default=None, metavar="N",
+    ),
+    _arg(
+        "--load", type=_COUNT, default=None, metavar="N",
         help="self-load: drive N events through the TCP gateway from "
              "an in-process load generator (smoke runs / benchmarks)",
-    )
-    parser.add_argument(
-        "--checkpoint-dir", type=str, default=None, metavar="DIR",
+    ),
+    _arg(
+        "--checkpoint-dir", default=None, metavar="DIR",
         help="write periodic hash-verified checkpoints of the live "
              "simulation into DIR (crash recovery: serve --recover)",
-    )
-    parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
+    ),
+    _arg(
+        "--checkpoint-every", type=_COUNT, default=None, metavar="N",
         help="checkpoint cadence in ticks (default: the config's "
              "eta2 consolidation cadence)",
-    )
-    parser.add_argument(
-        "--recover", action="store_true",
-        help="crash recovery: restore the latest valid checkpoint from "
-             "--checkpoint-dir (default AUDIT_FILE.ckpt), replay the "
-             "audit tail, and continue the run appending to the same "
-             "audit log; spec flags are taken from the audit meta, and "
-             "--ticks means additional ticks",
-    )
-    return parser
-
-
-def serve_main(argv: List[str]) -> int:
-    args = build_serve_parser().parse_args(argv)
-    if args.ticks is not None and args.ticks < 1:
-        print("--ticks must be >= 1", file=sys.stderr)
-        return 2
-    if args.tick_seconds is not None and args.tick_seconds <= 0:
-        print("--tick-seconds must be positive", file=sys.stderr)
-        return 2
-    if args.queue_bound < 1:
-        print("--queue-bound must be >= 1", file=sys.stderr)
-        return 2
-    if args.load is not None and (args.load < 1 or args.no_listen):
-        print(
-            "--load needs a positive count and the TCP server "
-            "(drop --no-listen)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.checkpoint_every is not None:
-        if args.checkpoint_every < 1:
-            print("--checkpoint-every must be >= 1", file=sys.stderr)
-            return 2
-        if args.checkpoint_dir is None and not args.recover:
-            print(
-                "--checkpoint-every needs --checkpoint-dir", file=sys.stderr
-            )
-            return 2
-    error = _missing_parent(args.audit, "audit path")
-    if error:
-        print(error, file=sys.stderr)
-        return 2
-    branching = None
-    if args.branching:
-        try:
-            branching = tuple(int(x) for x in args.branching.split(","))
-        except ValueError:
-            print("--branching must be comma-separated ints", file=sys.stderr)
-            return 2
+    ),
+    _switch(
+        "--recover",
+        "crash recovery: restore the latest valid checkpoint from "
+        "--checkpoint-dir (default AUDIT_FILE.ckpt), replay the "
+        "audit tail, and continue the run appending to the same "
+        "audit log; spec flags are taken from the audit meta, and "
+        "--ticks means additional ticks",
+    ),
+)
+def _serve(args) -> int:
+    if args.load is not None and args.no_listen:
+        raise CliError("--load needs the TCP server (drop --no-listen)")
+    if (args.checkpoint_every is not None and args.checkpoint_dir is None
+            and not args.recover):
+        raise CliError("--checkpoint-every needs --checkpoint-dir")
 
     import asyncio
     import signal
@@ -1063,52 +1100,42 @@ def serve_main(argv: List[str]) -> int:
     from repro.metrics import summarize_run
     from repro.service import (
         AuditLog,
+        AuditRecordError,
         IngestGateway,
         LiveRunner,
         LiveSimulation,
         ServiceSpec,
         generate_load,
+        recover_simulation,
     )
 
     checkpoint_dir = args.checkpoint_dir
     if args.recover:
         # The crashed run's spec lives in its audit meta; CLI spec
         # flags (seed, controller, ...) are not consulted.
-        if checkpoint_dir is None:
-            checkpoint_dir = f"{args.audit}.ckpt"
-        from repro.service import AuditRecordError, recover_simulation
-
+        checkpoint_dir = checkpoint_dir or f"{args.audit}.ckpt"
         try:
             recovery = recover_simulation(args.audit, checkpoint_dir)
-        except FileNotFoundError as error:
-            print(f"serve --recover: {error}", file=sys.stderr)
-            return 2
-        except (AuditRecordError, CheckpointError) as error:
-            print(f"serve --recover: {error}", file=sys.stderr)
-            return 2
+        except (FileNotFoundError, AuditRecordError, CheckpointError) as error:
+            raise CliError(f"serve --recover: {error}") from None
         print(recovery.format(), flush=True)
         sim = recovery.sim
         max_ticks = sim.tick + args.ticks if args.ticks is not None else None
     else:
-        try:
+        with _building("serve: "):
             spec = ServiceSpec(
                 seed=args.seed,
                 controller=args.controller,
-                branching=branching,
+                branching=args.branching,
                 utilization=args.utilization,
                 vms_per_server=args.vms_per_server,
                 supply_factor=args.supply_factor,
                 outside_temp=args.outside,
             )
-        except ValueError as error:
-            print(f"serve: {error}", file=sys.stderr)
-            return 2
         sim = LiveSimulation(spec)
         max_ticks = args.ticks
     if args.load is not None and not sim.n_vms:
-        print("--load needs an initial fleet (--vms-per-server > 0)",
-              file=sys.stderr)
-        return 2
+        raise CliError("--load needs an initial fleet (--vms-per-server > 0)")
     gateway = IngestGateway(
         queue_bound=args.queue_bound, allow_faults=sim.allow_faults
     )
@@ -1172,187 +1199,71 @@ def serve_main(argv: List[str]) -> int:
     return 0
 
 
-def build_replay_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli replay",
-        description=(
-            "Re-execute a live run's audit log offline and verify "
-            "bit-exact parity with the recorded decision digest."
-        ),
-    )
-    parser.add_argument(
-        "file", type=str, metavar="AUDIT_FILE",
+@_command(
+    "replay",
+    "Re-execute a live run's audit log offline and verify "
+    "bit-exact parity with the recorded decision digest.",
+    _arg(
+        "file", metavar="AUDIT_FILE",
         help="audit log written by 'serve' (rotated segments found "
              "automatically)",
-    )
-    parser.add_argument(
-        "--summary", action="store_true",
-        help="also print the replayed run's metrics summary",
-    )
-    return parser
-
-
-def replay_main(argv: List[str]) -> int:
-    args = build_replay_parser().parse_args(argv)
+    ),
+    _switch("--summary", "also print the replayed run's metrics summary"),
+)
+def _replay(args) -> int:
+    from repro.metrics import summarize_run
     from repro.service import AuditRecordError, replay
 
     try:
         result = replay(args.file)
     except (FileNotFoundError, AuditRecordError) as error:
-        print(f"replay: {error}", file=sys.stderr)
-        return 2
+        raise CliError(f"replay: {error}") from None
     print(result.format())
     if args.summary:
-        from repro.metrics import summarize_run
-
         print(summarize_run(result.collector).format())
     return 1 if result.parity is False else 0
 
 
-def _build_resumable_run(
-    *,
-    seed: int,
-    vectorized: bool,
-    utilization: float,
-    branching,
-    supply_factor: float,
-    vms_per_server: int,
-):
-    """A batch controller built exactly as ``checkpoint``/``resume`` need:
-    the same (tree, supply, placement, seed) recipe on both sides is
-    what makes restore-onto-a-fresh-twin bit-exact."""
-    from repro.core import WillowConfig, WillowController
-    from repro.core.vectorized import VectorizedWillowController
-    from repro.power import constant_supply
-    from repro.sim import RandomStreams
-    from repro.topology import build_balanced, build_paper_simulation
-    from repro.workload import (
-        SIMULATION_APPS,
-        random_placement,
-        scale_for_target_utilization,
-    )
-
-    tree = (
-        build_balanced([int(b) for b in branching])
-        if branching
-        else build_paper_simulation()
-    )
-    servers = tree.servers()
-    config = WillowConfig()
-    supply = constant_supply(
-        supply_factor * len(servers) * config.circuit_limit
-    )
-    streams = RandomStreams(seed)
-    placement = random_placement(
-        [s.node_id for s in servers],
-        SIMULATION_APPS,
-        streams["placement"],
-        vms_per_server=vms_per_server,
-    )
-    scale_for_target_utilization(
-        placement, config.server_model.slope, utilization
-    )
-    cls = VectorizedWillowController if vectorized else WillowController
-    return cls(tree, config, supply, placement, seed=seed)
-
-
-def build_checkpoint_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli checkpoint",
-        description=(
-            "Run a batch Willow simulation while writing periodic "
-            "hash-verified checkpoints; resume it bit-exactly with "
-            "'python -m repro.cli resume DIR' (see docs/checkpointing.md)."
-        ),
-    )
-    parser.add_argument(
-        "dir", type=str, metavar="DIR",
+@_command(
+    "checkpoint",
+    "Run a batch Willow simulation while writing periodic "
+    "hash-verified checkpoints; resume it bit-exactly with "
+    "'python -m repro.cli resume DIR' (see docs/checkpointing.md).",
+    _arg(
+        "dir", metavar="DIR",
         help="checkpoint directory (created if absent)",
-    )
-    parser.add_argument(
-        "--ticks", type=int, default=100, help="control ticks to run"
-    )
-    parser.add_argument(
-        "--every", type=int, default=None, metavar="N",
+    ),
+    _TICKS(default=100),
+    _arg(
+        "--every", type=_COUNT, default=None, metavar="N",
         help="checkpoint cadence in ticks (default: the config's eta2 "
              "consolidation cadence)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed")
-    parser.add_argument(
-        "--vectorized", action="store_true",
-        help="use the array-based controller",
-    )
-    parser.add_argument(
-        "--utilization", type=float, default=0.5,
-        help="target mean utilization in (0, 1] (default 0.5)",
-    )
-    parser.add_argument(
-        "--branching", type=str, default=None, metavar="A,B,C",
-        help="custom balanced tree, e.g. 3,3,3 (default: paper's 2,3,3)",
-    )
-    parser.add_argument(
-        "--supply-factor", type=float, default=1.0,
-        help="supply as a multiple of fleet circuit capacity",
-    )
-    parser.add_argument(
-        "--vms-per-server", type=int, default=4, metavar="N",
-        help="initial VMs per server (default 4)",
-    )
-    parser.add_argument(
-        "--keep", type=int, default=None, metavar="N",
+    ),
+    _SEED(),
+    _VECTORIZED(help="use the array-based controller"),
+    _UTILIZATION(),
+    _BRANCHING(),
+    _SUPPLY_FACTOR(help="supply as a multiple of fleet circuit capacity"),
+    _VMS_PER_SERVER(help="initial VMs per server (default 4)"),
+    _arg(
+        "--keep", type=_COUNT, default=None, metavar="N",
         help="retain only the newest N checkpoints (default: all)",
-    )
-    parser.add_argument(
-        "--fsync", action="store_true",
-        help="fsync every checkpoint (crash-durable)",
-    )
-    return parser
-
-
-def checkpoint_main(argv: List[str]) -> int:
-    args = build_checkpoint_parser().parse_args(argv)
-    if args.ticks < 1:
-        print("--ticks must be >= 1", file=sys.stderr)
-        return 2
-    if args.every is not None and args.every < 1:
-        print("--every must be >= 1", file=sys.stderr)
-        return 2
-    if not 0.0 < args.utilization <= 1.0:
-        print("--utilization must be in (0, 1]", file=sys.stderr)
-        return 2
-    branching = None
-    if args.branching:
-        try:
-            branching = tuple(int(x) for x in args.branching.split(","))
-        except ValueError:
-            print("--branching must be comma-separated ints", file=sys.stderr)
-            return 2
-
+    ),
+    _FSYNC(help="fsync every checkpoint (crash-durable)"),
+)
+def _checkpoint(args) -> int:
     from repro.checkpoint import CheckpointStore, Checkpointer
     from repro.metrics import summarize_run
     from repro.service.simulation import decision_digest
 
-    controller = _build_resumable_run(
-        seed=args.seed,
-        vectorized=args.vectorized,
-        utilization=args.utilization,
-        branching=branching,
-        supply_factor=args.supply_factor,
-        vms_per_server=args.vms_per_server,
-    )
+    recipe = {key: getattr(args, key) for key in _RECIPE}
+    controller = _build_run(**recipe)
     store = CheckpointStore(args.dir, fsync=args.fsync, keep=args.keep)
     # The meta rides inside every checkpoint header so `resume` can
     # rebuild the identical twin without any side-channel.
-    meta = {
-        "ticks": args.ticks,
-        "seed": args.seed,
-        "vectorized": args.vectorized,
-        "utilization": args.utilization,
-        "branching": list(branching) if branching else None,
-        "supply_factor": args.supply_factor,
-        "vms_per_server": args.vms_per_server,
-    }
-    checkpointer = Checkpointer(store, every=args.every, meta=meta)
+    checkpointer = Checkpointer(
+        store, every=args.every, meta={"ticks": args.ticks, **recipe}
+    )
     checkpointer.attach(controller)
     collector = controller.run(args.ticks)
     print(
@@ -1365,37 +1276,28 @@ def checkpoint_main(argv: List[str]) -> int:
     return 0
 
 
-def build_resume_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli resume",
-        description=(
-            "Resume a checkpointed batch run from its latest valid "
-            "checkpoint (corrupt files are skipped) and run it to "
-            "completion; the decision digest matches an uninterrupted "
-            "run bit-exactly."
-        ),
-    )
-    parser.add_argument(
-        "dir", type=str, metavar="DIR",
+@_command(
+    "resume",
+    "Resume a checkpointed batch run from its latest valid "
+    "checkpoint (corrupt files are skipped) and run it to "
+    "completion; the decision digest matches an uninterrupted "
+    "run bit-exactly.",
+    _arg(
+        "dir", metavar="DIR",
         help="checkpoint directory written by 'checkpoint'",
-    )
-    parser.add_argument(
+    ),
+    _arg(
         "--at", type=int, default=None, metavar="TICK",
         help="resume from the checkpoint at this exact tick instead of "
              "the latest valid one",
-    )
-    parser.add_argument(
-        "--ticks", type=int, default=None, metavar="N",
+    ),
+    _TICKS(
+        default=None, metavar="N",
         help="total ticks to run to (default: the run length recorded "
              "when the checkpoints were written)",
-    )
-    return parser
-
-
-def resume_main(argv: List[str]) -> int:
-    args = build_resume_parser().parse_args(argv)
-    from pathlib import Path
-
+    ),
+)
+def _resume(args) -> int:
     from repro.checkpoint import (
         CheckpointCorruptError,
         CheckpointError,
@@ -1405,168 +1307,95 @@ def resume_main(argv: List[str]) -> int:
     from repro.service.simulation import decision_digest
 
     if not Path(args.dir).is_dir():
-        print(
+        raise CliError(
             f"resume: {args.dir} is not a directory (run "
-            f"'python -m repro.cli checkpoint {args.dir}' first?)",
-            file=sys.stderr,
+            f"'python -m repro.cli checkpoint {args.dir}' first?)"
         )
-        return 2
     store = CheckpointStore(args.dir)
     try:
-        if args.at is not None:
-            document = store.load(args.at)
-        else:
-            document = store.latest_valid()
-    except (FileNotFoundError, PermissionError) as error:
-        print(f"resume: {error}", file=sys.stderr)
-        return 2
-    except CheckpointCorruptError as error:
-        print(f"resume: corrupt checkpoint: {error}", file=sys.stderr)
-        return 2
-    except CheckpointError as error:
-        print(f"resume: {error}", file=sys.stderr)
-        return 2
-    if document is None:
-        print(
-            f"resume: no valid checkpoint found in {args.dir}",
-            file=sys.stderr,
+        document = (
+            store.latest_valid() if args.at is None else store.load(args.at)
         )
-        return 2
+    except CheckpointCorruptError as error:
+        raise CliError(f"resume: corrupt checkpoint: {error}") from None
+    except (FileNotFoundError, PermissionError, CheckpointError) as error:
+        raise CliError(f"resume: {error}") from None
+    if document is None:
+        raise CliError(f"resume: no valid checkpoint found in {args.dir}")
     for path, reason in document.get("skipped", ()):
         print(f"resume: skipped corrupt checkpoint {path}: {reason}")
     meta = document["meta"]
-    required = ("ticks", "seed", "vectorized", "utilization",
-                "supply_factor", "vms_per_server")
-    if any(key not in meta for key in required):
-        print(
+    if any(key not in meta for key in ("ticks", *_RECIPE)
+           if key != "branching"):
+        raise CliError(
             f"resume: checkpoint at tick {document['tick']} has no "
             f"rebuild recipe in its meta (written by 'checkpoint'? "
-            f"service checkpoints are resumed with 'serve --recover')",
-            file=sys.stderr,
+            f"service checkpoints are resumed with 'serve --recover')"
         )
-        return 2
     total_ticks = args.ticks if args.ticks is not None else meta["ticks"]
     if total_ticks < document["tick"]:
-        print(
+        raise CliError(
             f"resume: --ticks {total_ticks} is before the checkpoint "
-            f"at tick {document['tick']}",
-            file=sys.stderr,
+            f"at tick {document['tick']}"
         )
-        return 2
-    controller = _build_resumable_run(
-        seed=meta["seed"],
-        vectorized=meta["vectorized"],
-        utilization=meta["utilization"],
-        branching=meta.get("branching"),
-        supply_factor=meta["supply_factor"],
-        vms_per_server=meta["vms_per_server"],
-    )
+    controller = _build_run(**{key: meta.get(key) for key in _RECIPE})
     try:
         controller.restore_state(document["state"])
     except CheckpointError as error:
-        print(f"resume: {error}", file=sys.stderr)
-        return 2
+        raise CliError(f"resume: {error}") from None
     remaining = total_ticks - document["tick"]
     print(
         f"resumed from checkpoint at tick {document['tick']} "
         f"({document['path']}); running {remaining} more tick(s)"
     )
-    collector = controller.run(remaining)
+    # A run checkpointed at its last tick is already complete.
+    collector = (controller.run(remaining) if remaining
+                 else controller.collector)
     print(f"decision digest: {decision_digest(collector)}")
     print(summarize_run(collector).format())
     return 0
 
 
-def build_gym_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cli gym",
-        description=(
-            "Train learned federation schedulers in the gym environment "
-            "and score them against the shipped policies on one "
-            "scenario (see docs/gym.md)."
-        ),
-    )
-    parser.add_argument(
-        "--sites", type=int, default=2, metavar="N",
-        help="federation size (default 2)",
-    )
-    parser.add_argument(
-        "--windows", type=int, default=23, metavar="W",
+@_command(
+    "gym",
+    "Train learned federation schedulers in the gym environment "
+    "and score them against the shipped policies on one "
+    "scenario (see docs/gym.md).",
+    _SITES(help="federation size (default 2)"),
+    _arg(
+        "--windows", type=_COUNT, default=23, metavar="W",
         help="decision windows per episode (default 23 = one solar day)",
-    )
-    parser.add_argument(
-        "--horizon", type=int, default=4, metavar="K",
+    ),
+    _arg(
+        "--horizon", type=_at_least(0), default=4, metavar="K",
         help="forecast steps in the observation (default 4)",
-    )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="scenario seed (default 0)"
-    )
-    parser.add_argument(
+    ),
+    _SEED(help="scenario seed (default 0)"),
+    _arg(
         "--agent-seed", type=int, default=0,
         help="agent RNG seed (default 0)",
-    )
-    parser.add_argument(
-        "--iterations", type=int, default=2, metavar="I",
+    ),
+    _arg(
+        "--iterations", type=_COUNT, default=2, metavar="I",
         help="CEM iterations (default 2)",
-    )
-    parser.add_argument(
-        "--population", type=int, default=6, metavar="P",
+    ),
+    _arg(
+        "--population", type=_at_least(2), default=6, metavar="P",
         help="CEM population per iteration (default 6)",
-    )
-    parser.add_argument(
-        "--episodes", type=int, default=4, metavar="E",
+    ),
+    _arg(
+        "--episodes", type=_at_least(0), default=4, metavar="E",
         help="bandit training episodes (default 4)",
-    )
-    parser.add_argument(
-        "--utilization", type=float, default=0.35,
-        help="per-site target mean utilization in (0, 1] (default 0.35)",
-    )
-    parser.add_argument(
-        "--battery", type=float, default=0.0, metavar="CAPACITY",
+    ),
+    _SITE_UTILIZATION,
+    _BATTERY(
+        type=_at_least(0.0, float), default=0.0, metavar="CAPACITY",
         help="per-site UPS capacity in W*ticks (default 0 = none)",
-    )
-    parser.add_argument(
-        "--forecast", type=str, default="oracle", metavar="SPEC",
-        help="forecast model behind the observations (default oracle)",
-    )
-    parser.add_argument(
-        "--no-bandit", action="store_true",
-        help="skip the policy-switching bandit rows",
-    )
-    return parser
-
-
-def gym_main(argv: List[str]) -> int:
-    args = build_gym_parser().parse_args(argv)
-    if args.sites < 1:
-        print("--sites must be >= 1", file=sys.stderr)
-        return 2
-    if args.windows < 1:
-        print("--windows must be >= 1", file=sys.stderr)
-        return 2
-    if args.horizon < 0:
-        print("--horizon must be >= 0", file=sys.stderr)
-        return 2
-    if args.iterations < 1:
-        print("--iterations must be >= 1", file=sys.stderr)
-        return 2
-    if args.population < 2:
-        print("--population must be >= 2", file=sys.stderr)
-        return 2
-    if not 0.0 < args.utilization <= 1.0:
-        print("--utilization must be in (0, 1]", file=sys.stderr)
-        return 2
-    if args.battery < 0:
-        print("--battery must be >= 0", file=sys.stderr)
-        return 2
-    from repro.federation import resolve_forecast_model
-
-    try:
-        resolve_forecast_model(args.forecast)
-    except ValueError as error:
-        print(f"--forecast: {error}", file=sys.stderr)
-        return 2
-
+    ),
+    _FORECAST(help="forecast model behind the observations (default oracle)"),
+    _switch("--no-bandit", "skip the policy-switching bandit rows"),
+)
+def _gym(args) -> int:
     from repro.gym import GymConfig, compare
 
     config = GymConfig(
@@ -1596,13 +1425,11 @@ def gym_main(argv: List[str]) -> int:
         f"{'moves':>5}  {'violations':>10}  notes"
     )
     for name, row in rows.items():
-        notes = ""
-        if "theta" in row:
-            notes = (
-                f"theta=({row['theta'][0]:.2f}, {row['theta'][1]:.2f})"
-            )
-        if "arm" in row:
-            notes = f"arm={row['arm']}"
+        notes = (
+            f"arm={row['arm']}" if "arm" in row
+            else f"theta=({row['theta'][0]:.2f}, {row['theta'][1]:.2f})"
+            if "theta" in row else ""
+        )
         print(
             f"{name:>16}  {row['dropped']:>10.0f}  "
             f"{row['wan_energy']:>10.0f}  {row['moves']:>5}  "
@@ -1618,142 +1445,14 @@ def gym_main(argv: List[str]) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "bench":
-        return bench_main(argv[1:])
-    if argv and argv[0] == "degraded":
-        return degraded_main(argv[1:])
-    if argv and argv[0] == "resilience":
-        return resilience_main(argv[1:])
-    if argv and argv[0] == "federation":
-        return federation_main(argv[1:])
-    if argv and argv[0] == "gym":
-        return gym_main(argv[1:])
-    if argv and argv[0] == "trace":
-        return trace_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return serve_main(argv[1:])
-    if argv and argv[0] == "replay":
-        return replay_main(argv[1:])
-    if argv and argv[0] == "checkpoint":
-        return checkpoint_main(argv[1:])
-    if argv and argv[0] == "resume":
-        return resume_main(argv[1:])
-    args = build_parser().parse_args(argv)
-    if not 0.0 < args.utilization <= 1.0:
-        print("--utilization must be in (0, 1]", file=sys.stderr)
+    name = argv[0] if argv and argv[0] in COMMANDS else None
+    command = COMMANDS[name]
+    try:
+        args = command.parser().parse_args(argv[1:] if name else argv)
+        return command.run(args)
+    except CliError as error:
+        print(error, file=sys.stderr)
         return 2
-    if args.ticks < 1:
-        print("--ticks must be >= 1", file=sys.stderr)
-        return 2
-    if not 0.0 <= args.supply_dip < 1.0:
-        print("--supply-dip must be in [0, 1)", file=sys.stderr)
-        return 2
-
-    from repro.core import WillowConfig, WillowController
-    from repro.core.vectorized import VectorizedWillowController
-    from repro.metrics import summarize_run
-    from repro.power import constant_supply, step_supply
-    from repro.sim import RandomStreams
-    from repro.topology import build_balanced, build_paper_simulation
-    from repro.workload import (
-        SIMULATION_APPS,
-        random_placement,
-        scale_for_target_utilization,
-    )
-
-    if args.branching:
-        try:
-            branching = [int(x) for x in args.branching.split(",")]
-        except ValueError:
-            print("--branching must be comma-separated ints", file=sys.stderr)
-            return 2
-        tree = build_balanced(branching)
-    else:
-        tree = build_paper_simulation()
-    servers = tree.servers()
-
-    overrides = {}
-    config_kwargs = {}
-    if args.no_consolidation:
-        config_kwargs["consolidation_enabled"] = False
-    if args.p_min is not None:
-        config_kwargs["p_min"] = args.p_min
-    config = WillowConfig(**config_kwargs)
-
-    if args.hot:
-        if args.hot > len(servers):
-            print("--hot exceeds server count", file=sys.stderr)
-            return 2
-        overrides = {s.name: 40.0 for s in servers[-args.hot:]}
-
-    nominal = args.supply_factor * len(servers) * config.circuit_limit
-    if args.supply_csv:
-        from repro.power import supply_from_csv
-
-        try:
-            supply = supply_from_csv(args.supply_csv)
-        except (OSError, ValueError) as error:
-            print(f"--supply-csv: {error}", file=sys.stderr)
-            return 2
-    elif args.supply_dip > 0:
-        dip_at = args.dip_at if args.dip_at is not None else args.ticks // 2
-        supply = step_supply(
-            [(0.0, nominal), (float(dip_at), nominal * (1 - args.supply_dip))]
-        )
-    else:
-        supply = constant_supply(nominal)
-
-    if args.battery is not None:
-        from repro.power import buffer_supply, parse_battery_spec
-
-        try:
-            battery = parse_battery_spec(args.battery).build()
-        except ValueError as error:
-            print(f"--battery: {error}", file=sys.stderr)
-            return 2
-        supply = buffer_supply(
-            supply,
-            battery,
-            duration=args.ticks * config.delta_d,
-            dt=config.delta_d,
-        )
-
-    streams = RandomStreams(args.seed)
-    placement = random_placement(
-        [s.node_id for s in servers], SIMULATION_APPS, streams["placement"]
-    )
-    scale_for_target_utilization(
-        placement, config.server_model.slope, args.utilization
-    )
-    controller_cls = (
-        VectorizedWillowController if args.vectorized else WillowController
-    )
-    tracer = _open_tracer(args.trace)
-    controller = controller_cls(
-        tree, config, supply, placement,
-        ambient_overrides=overrides, seed=args.seed, tracer=tracer,
-    )
-    collector = controller.run(args.ticks)
-    _close_tracer(tracer, args.trace)
-
-    print(
-        f"Willow run: {len(servers)} servers, U={args.utilization:.0%}, "
-        f"{args.ticks} ticks, seed {args.seed}"
-        + (f", hot zone on last {args.hot}" if args.hot else "")
-    )
-    print(summarize_run(collector).format())
-
-    if args.export_csv:
-        from repro.metrics.export import export_csv
-
-        written = export_csv(collector, args.export_csv)
-        print(f"wrote {len(written)} CSV files to {args.export_csv}")
-    if args.export_json:
-        from repro.metrics.export import export_json
-
-        path = export_json(collector, args.export_json)
-        print(f"wrote {path}")
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover
