@@ -194,3 +194,51 @@ def test_live_snapshot_pickles_no_history_row_objects():
     )
     assert len(simulation.collector.server_samples) == 14 * 256
     assert not counted, f"{len(counted)} history row objects pickled"
+
+
+def test_site_run_leaves_no_per_row_gc_objects():
+    """GC-tracked objects a 300-tick, 1024-server array run leaves behind.
+
+    The collector records each tick's ~2,500 server, switch and message
+    rows as plain values appended to its columns, so the tracked heap
+    does not grow with the rows.  One object per row made an episode
+    shaped like perfbench's ``site_drain`` end with ~765k more tracked
+    objects and a cyclic-GC pause every few dozen ticks that grew with
+    the heap.  What remains (~24k) is mostly the 4,096 per-VM random
+    streams created on the first sample.  An object count, not a time,
+    so machine speed cannot flake it.
+    """
+    import gc
+
+    from repro.core.config import WillowConfig
+    from repro.core.vectorized import VectorizedWillowController
+    from repro.power.supply import constant_supply
+    from repro.sim.rng import RandomStreams
+    from repro.topology.builders import build_balanced
+    from repro.workload.applications import SIMULATION_APPS
+    from repro.workload.generator import (
+        random_placement,
+        scale_for_target_utilization,
+    )
+
+    config = WillowConfig()
+    tree = build_balanced((4, 16, 16))
+    ids = [s.node_id for s in tree.servers()]
+    placement = random_placement(
+        ids, SIMULATION_APPS, RandomStreams(16)["placement"], vms_per_server=4
+    )
+    scale_for_target_utilization(placement, config.server_model.slope, 0.3)
+    controller = VectorizedWillowController(
+        tree,
+        config,
+        constant_supply(0.7 * len(ids) * config.circuit_limit),
+        placement,
+        seed=16,
+    )
+    gc.collect()
+    before = len(gc.get_objects())
+    controller.run(300)
+    gc.collect()
+    growth = len(gc.get_objects()) - before
+    assert len(controller.collector.server_samples) == 300 * 1024
+    assert growth < 50_000, f"{growth} GC-tracked objects left by the run"

@@ -948,7 +948,7 @@ def _trace(args) -> int:
 
     try:
         reader = TraceReader(args.file, run=args.run)
-    except (OSError, ValueError, IndexError) as error:
+    except (OSError, ValueError) as error:
         raise CliError(f"trace: {error}") from None
 
     def histogram(title, counts, share=False):

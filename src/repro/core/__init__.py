@@ -15,7 +15,6 @@ Public entry points:
 
 from repro.core.config import WillowConfig
 from repro.core.events import (
-    BudgetChange,
     ControlMessage,
     Drop,
     Migration,
@@ -26,7 +25,6 @@ from repro.core.deficits import power_deficit, power_imbalance, power_surplus
 from repro.core.controller import WillowController, run_willow
 
 __all__ = [
-    "BudgetChange",
     "ControlMessage",
     "Drop",
     "Migration",

@@ -24,16 +24,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Protocol
 
 from repro.core.config import WillowConfig
 from repro.core.consolidation import ConsolidationPlanner
-from repro.core.events import (
-    ControlMessage,
-    Drop,
-    Migration,
-    MigrationCause,
-)
+from repro.core.events import Drop, Migration, MigrationCause
 from repro.core.migration import MigrationPlanner, PlannedMove
 from repro.core.state import NodeRuntime, ServerRuntime
 from repro.core.deficits import power_imbalance
-from repro.metrics.collector import MetricsCollector, ServerSample, SwitchSample
+from repro.metrics.collector import MetricsCollector
 from repro.power.budget import allocate_proportional
 from repro.power.supply import SupplyTrace, constant_supply
 from repro.sim.core import Environment
@@ -306,22 +301,17 @@ class WillowController:
                 served += grant
             server.served_power = served
 
-        # 7. thermal update and per-server sample.
+        # 7. thermal update and per-server samples (ServerSample fields).
+        samples = []
         for server in self.servers.values():
             wall = server.actual_power()
             temperature = self._advance_plant(server, wall, config.delta_d)
-            self.collector.record_server(
-                ServerSample(
-                    time=now,
-                    server_id=server.node.node_id,
-                    power=wall,
-                    temperature=temperature,
-                    utilization=server.utilization,
-                    demand=server.raw_demand,
-                    budget=server.budget,
-                    asleep=not server.is_awake,
-                )
-            )
+            samples.append((
+                now, server.node.node_id, wall, temperature,
+                server.utilization, server.raw_demand, server.budget,
+                not server.is_awake,
+            ))
+        self.collector.server_samples.append_columns(*zip(*samples))
 
         # 8. switch traffic and power.
         self._record_switches(now)
@@ -395,6 +385,7 @@ class WillowController:
     # ------------------------------------------------------- demand reports
     def _aggregate_demands(self, now: float) -> None:
         """Propagate smoothed demand bottom-up; one message per link."""
+        links = []
         for level in range(1, self.tree.root.level + 1):
             for node in self.tree.nodes_at_level(level):
                 total = 0.0
@@ -403,10 +394,9 @@ class WillowController:
                         total += self.servers[child.node_id].smoothed_demand
                     else:
                         total += self.internals[child.node_id].smoothed_demand
-                    self.collector.record_message(
-                        ControlMessage(now, link=child.node_id, upward=True)
-                    )
+                    links.append(child.node_id)
                 self.internals[node.node_id].observe_demand(total)
+        self.collector.record_messages(now, links, upward=True)
 
     # ------------------------------------------------------- supply side
     def _allocate_budgets(self, now: float) -> None:
@@ -430,6 +420,7 @@ class WillowController:
                 self.root_budget, root_cap, min(self.root_budget, root_cap)
             )
 
+        links = []
         for level in range(self.tree.root.level, 0, -1):
             for node in self.tree.nodes_at_level(level):
                 runtime = self.internals[node.node_id]
@@ -462,9 +453,7 @@ class WillowController:
                         self.servers[child.node_id].set_budget(allocation)
                     else:
                         self.internals[child.node_id].set_budget(allocation)
-                    self.collector.record_message(
-                        ControlMessage(now, link=child.node_id, upward=False)
-                    )
+                    links.append(child.node_id)
                 if self.tracer.enabled:
                     for child, allocation, weight, cap in zip(
                         node.children, allocations, weights, child_caps
@@ -485,6 +474,7 @@ class WillowController:
                                 else None
                             ),
                         )
+        self.collector.record_messages(now, links, upward=False)
 
     # ------------------------------------------------------ migrations
     def _execute_moves(
@@ -597,22 +587,17 @@ class WillowController:
                     served_below[child.node_id] for child in node.children
                 )
         ipc_traffic = self._ipc_traffic()
+        samples = []
         for switch in self.fabric.switches:
             base = served_below[switch.site.node_id] / switch.redundancy
             base += ipc_traffic.get(switch.switch_id, 0.0)
             migration = self._tick_migration_traffic.get(switch.switch_id, 0.0)
             power = model.power(base + migration)
             self._last_switch_power[switch.switch_id] = power
-            self.collector.record_switch(
-                SwitchSample(
-                    time=now,
-                    switch_id=switch.switch_id,
-                    level=switch.level,
-                    base_traffic=base,
-                    migration_traffic=migration,
-                    power=power,
-                )
+            samples.append(
+                (now, switch.switch_id, switch.level, base, migration, power)
             )
+        self.collector.switch_samples.append_columns(*zip(*samples))
 
     def _ipc_traffic(self) -> Dict[int, float]:
         """Per-switch IPC load: cross-host affinity edges load the

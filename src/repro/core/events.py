@@ -1,4 +1,4 @@
-"""Control-plane records: migrations, drops, budget changes, messages.
+"""Control-plane records: migrations, drops, plant events, messages.
 
 These are the events Willow's evaluation counts (Figs. 9-12, 16) and the
 units the network-impact accounting works in.
@@ -14,7 +14,6 @@ __all__ = [
     "MigrationCause",
     "Migration",
     "Drop",
-    "BudgetChange",
     "ControlMessage",
     "PlantEvent",
 ]
@@ -68,21 +67,6 @@ class Drop:
     def __post_init__(self) -> None:
         if self.power < 0:
             raise ValueError("dropped power must be non-negative")
-
-
-@dataclass(frozen=True, slots=True)
-class BudgetChange:
-    """A supply-side budget update at one node."""
-
-    time: float
-    node_id: int
-    old_budget: float
-    new_budget: float
-
-    @property
-    def reduced(self) -> bool:
-        """Did this event tighten the node's constraint?"""
-        return self.new_budget < self.old_budget - 1e-9
 
 
 @dataclass(frozen=True, slots=True)

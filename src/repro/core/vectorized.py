@@ -23,11 +23,11 @@ How a segment ticks:
 * **Deferred scatter.**  The arrays are the truth inside a tick.
   Per-server and per-VM objects are refreshed only where scalar code
   reads them (the migration planner, consolidation, priority serving,
-  ``on_tick`` hooks) and by :meth:`_Segment.flush`.  A multi-site
-  segment queues server samples, switch samples and control messages
-  as per-tick column blocks (:class:`~repro.metrics.columnar.LazyList`),
-  built only if somebody reads them; a one-site segment builds them
-  inside the tick, so nothing it starts outlives the tick.
+  ``on_tick`` hooks) and by :meth:`_Segment.flush`.  Server samples,
+  switch samples and control messages are recorded inside the tick as
+  one column block per site (``.tolist()`` values appended to the
+  collector's :class:`~repro.metrics.table.Table` columns), the same
+  append the scalar tick makes; no row object is built.
 * **Bit-exact staleness** (multi-site only).  A site-major coordinator
   serves a VM hosted at site ``s`` but homed at a later site ``h``
   against last tick's demand.  The fused tick samples every site up
@@ -54,11 +54,9 @@ import numpy as np
 
 from repro.core.controller import WillowController, _EPS
 from repro.core.deficits import power_imbalance
-from repro.core.events import ControlMessage, Drop, MigrationCause
+from repro.core.events import Drop, MigrationCause
 from repro.core.fleet import FleetState, build_fold_index, fold_segment_sums
 from repro.core.migration import PlannedMove
-from repro.metrics.collector import ServerSample, SwitchSample
-from repro.metrics.columnar import LazyList
 from repro.power.budget import LevelIndex, allocate_level
 from repro.thermal.model import temperature_step_arrays
 from repro.trace.tracer import NULL_TRACER
@@ -91,45 +89,6 @@ _VIEW_FIELDS = (
     "raw",
     "served",
 )
-
-
-# ------------------------------------------------------------ lazy blocks
-def _server_block(now, ids, wall, temps, util, raw, budget, awake):
-    """Materialiser for one site's per-tick server samples."""
-
-    def build():
-        w = wall.tolist()
-        t = temps.tolist()
-        u = util.tolist()
-        r = raw.tolist()
-        b = budget.tolist()
-        a = awake.tolist()
-        return [
-            ServerSample(now, ids[j], w[j], t[j], u[j], r[j], b[j], not a[j])
-            for j in range(len(ids))
-        ]
-
-    return build
-
-
-def _switch_block(now, ids, levels, base, mig, power):
-    """Materialiser for one site's per-tick switch samples."""
-
-    def build():
-        b = base.tolist()
-        m = mig.tolist()
-        p = power.tolist()
-        return [
-            SwitchSample(now, ids[j], levels[j], b[j], m[j], p[j])
-            for j in range(len(ids))
-        ]
-
-    return build
-
-
-def _message_block(now, ids, upward):
-    """Materialiser for one site's per-tick control messages."""
-    return lambda: [ControlMessage(now, c, upward) for c in ids]
 
 
 class _SegLevel:
@@ -351,19 +310,6 @@ class _Segment:
             np.concatenate(caps) if all(c is not None for c in caps) else None
         )
 
-        # A batched segment's sample/message lists become lazily
-        # materialised column stores.  A one-site segment builds its rows
-        # inside the tick, as the scalar controller does: a deferred
-        # block would outlive the tick and cost its reader a pause that
-        # grows with the run.
-        self._lazy = coordinator is not None
-        if self._lazy:
-            for ctrl in ctrls:
-                collector = ctrl.collector
-                for name in ("server_samples", "switch_samples", "messages"):
-                    rows = getattr(collector, name)
-                    if not isinstance(rows, LazyList):
-                        setattr(collector, name, LazyList(rows))
         self._dirty_servers = [False] * len(ctrls)
         self._dirty_vms = [False] * len(ctrls)
         self._demands: List[Optional[np.ndarray]] = [None] * len(ctrls)
@@ -393,13 +339,6 @@ class _Segment:
                 if h_pos is not None and h_pos > pos:
                     out.append(vm)
         return out
-
-    def _emit(self, rows: list, build) -> None:
-        """Queue one column block (batched) or build its rows now."""
-        if self._lazy:
-            rows.push_block(build)
-        else:
-            rows.extend(build())
 
     # --------------------------------------------------------------- sync
     def _flush_servers(self, i: int) -> None:
@@ -694,24 +633,20 @@ class _Segment:
         )
         np.maximum(self._peak, temps, out=self._peak)
         self._viol += violations
-        # One column block per site; budget/awake mutate across ticks,
-        # so a queued block snapshots those two columns.
-        budget_copy = self.budget.copy()
-        awake_copy = self.awake.copy()
+        # One column block per site, in ServerSample field order.
+        asleep = ~self.awake
         for i, ctrl in enumerate(ctrls):
             sl = self.local_slices[i]
-            self._emit(
-                ctrl.collector.server_samples,
-                _server_block(
-                    now,
-                    self._server_ids[i],
-                    wall[sl],
-                    temps[sl],
-                    utilization[sl],
-                    raw[sl],
-                    budget_copy[sl],
-                    awake_copy[sl],
-                ),
+            ids = self._server_ids[i]
+            ctrl.collector.server_samples.append_columns(
+                [now] * len(ids),
+                ids,
+                wall[sl].tolist(),
+                temps[sl].tolist(),
+                utilization[sl].tolist(),
+                raw[sl].tolist(),
+                self.budget[sl].tolist(),
+                asleep[sl].tolist(),
             )
             self._dirty_servers[i] = True
 
@@ -774,16 +709,13 @@ class _Segment:
                 len(level.runtimes),
             )
         for i, ctrl in enumerate(self.controllers):
-            self._emit(
-                ctrl.collector.messages,
-                _message_block(now, self._up_ids[i], True),
-            )
+            ctrl.collector.record_messages(now, self._up_ids[i], upward=True)
 
     # ------------------------------------------------------------ switches
     def _record_switches(self, now: float) -> None:
         """Scalar ``_record_switches`` across every site at once: one
         served-power fold per level, one linear power expression over
-        the shared switch array, lazily-queued samples."""
+        the shared switch array, one column block per site."""
         below = self._served_buf
         below[self.server_gidx] = self.served
         for level in self.levels:
@@ -804,9 +736,13 @@ class _Segment:
         for i, ctrl in enumerate(self.controllers):
             sl = self._sw_slices[i]
             ids, levels = self._sw_meta[i]
-            self._emit(
-                ctrl.collector.switch_samples,
-                _switch_block(now, ids, levels, base[sl], migration[sl], power[sl]),
+            ctrl.collector.switch_samples.append_columns(
+                [now] * len(ids),
+                ids,
+                levels,
+                base[sl].tolist(),
+                migration[sl].tolist(),
+                power[sl].tolist(),
             )
 
     # --------------------------------------------------------- supply side
@@ -875,10 +811,7 @@ class _Segment:
                     parent_budget, reserves,
                 )
         for i, ctrl in enumerate(self.controllers):
-            self._emit(
-                ctrl.collector.messages,
-                _message_block(now, self._down_ids[i], False),
-            )
+            ctrl.collector.record_messages(now, self._down_ids[i], upward=False)
 
     def _trace_level(
         self, level, allocations, weights, caps, parent_budget, reserves

@@ -54,7 +54,7 @@ from repro.federation.predictive import (
     SiteForecast,
 )
 from repro.federation.site import Site, SiteSpec, build_site
-from repro.metrics.collector import rows_from_columns, rows_to_columns
+from repro.metrics.table import Table
 from repro.trace.tracer import Tracer, active_tracer
 
 __all__ = [
@@ -226,7 +226,7 @@ class FederationCoordinator:
             self._install_cooling()
 
         #: Executed cross-site moves, time-ordered.
-        self.cross_migrations: List[CrossSiteMigration] = []
+        self.cross_migrations = Table(CrossSiteMigration)
         #: Policy directives per shift tick: ``(tick, [Transfer, ...])``.
         self.transfer_log: List[Tuple[int, List[Transfer]]] = []
         self._tick_index = 0
@@ -706,9 +706,7 @@ class FederationCoordinator:
                 }
                 for site in self.sites
             ],
-            "cross_migrations": rows_to_columns(
-                self.cross_migrations, CrossSiteMigration
-            ),
+            "cross_migrations": self.cross_migrations.state(),
             "transfer_log": list(self.transfer_log),
         }
         if self._planner is not None or self.federation.cooling is not None:
@@ -755,9 +753,7 @@ class FederationCoordinator:
             site.vms_sent = entry["vms_sent"]
             site.watts_received = entry["watts_received"]
             site.watts_sent = entry["watts_sent"]
-        self.cross_migrations[:] = rows_from_columns(
-            state["cross_migrations"], CrossSiteMigration, "cross_migrations"
-        )
+        self.cross_migrations.load(state["cross_migrations"], "cross_migrations")
         self.transfer_log[:] = state["transfer_log"]
         extra = state.get("planner")
         if extra is None:
@@ -792,7 +788,7 @@ class FederationCoordinator:
 
     def total_cross_watts(self) -> float:
         """Total demand (W) shifted across sites over the run."""
-        return float(sum(m.demand for m in self.cross_migrations))
+        return float(sum(self.cross_migrations.column("demand")))
 
 
 def build_federation(

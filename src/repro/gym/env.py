@@ -391,24 +391,23 @@ class WillowFedEnv:
         delta_d = coordinator.delta_d
         vector = dict.fromkeys(REWARD_COMPONENTS, 0.0)
         for i, site in enumerate(coordinator.sites):
-            drops = site.collector.drops
+            drops = site.collector.drops.column("power")
             new_drops = drops[self._drop_cursor[i] :]
             self._drop_cursor[i] = len(drops)
-            vector["dropped"] += sum(d.power for d in new_drops) * delta_d
+            vector["dropped"] += sum(new_drops) * delta_d
 
             samples = site.collector.server_samples
-            new_samples = samples[self._sample_cursor[i] :]
+            cursor = self._sample_cursor[i]
             self._sample_cursor[i] = len(samples)
-            energy = sum(s.power for s in new_samples) * delta_d
+            energy = sum(samples.column("power")[cursor:]) * delta_d
             vector["energy"] += energy
             if window_start is not None:
                 vector["carbon"] += energy * site.carbon_at(window_start)
             t_limit = site.config.thermal.t_limit
-            vector["violations"] += sum(
-                1 for s in new_samples if s.temperature > t_limit + 1e-9
-            )
-            if new_samples:
-                self._peak_temps[i] = max(s.temperature for s in new_samples)
+            temps = samples.column("temperature")[cursor:]
+            vector["violations"] += sum(1 for t in temps if t > t_limit + 1e-9)
+            if temps:
+                self._peak_temps[i] = max(temps)
 
         migrations = coordinator.cross_migrations
         for migration in migrations[self._migration_cursor :]:

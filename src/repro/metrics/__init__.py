@@ -3,6 +3,8 @@
 * :mod:`repro.metrics.collector` -- the :class:`MetricsCollector` every
   controller writes into; exposes the series behind Figs. 5-12 and
   15-19.
+* :mod:`repro.metrics.table` -- :class:`Table`, the per-field column
+  storage behind each of the collector's row tables.
 * :mod:`repro.metrics.stability` -- ping-pong detection and the
   Property-4 residence-time check.
 * :mod:`repro.metrics.convergence` -- delta-convergence estimation and

@@ -7,9 +7,8 @@ experiment modules.  All series convert to NumPy arrays on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -21,14 +20,13 @@ from repro.core.events import (
     MigrationCause,
     PlantEvent,
 )
+from repro.metrics.table import Table
 from repro.trace.tracer import NULL_TRACER, Tracer
 
 __all__ = [
     "ServerSample",
     "SwitchSample",
     "MetricsCollector",
-    "rows_to_columns",
-    "rows_from_columns",
 ]
 
 
@@ -58,66 +56,38 @@ class SwitchSample:
     power: float  # watts
 
 
-def rows_to_columns(rows: List[Any], row_class: type) -> Any:
-    """Encode a table of ``row_class`` dataclass rows for a checkpoint.
-
-    The table becomes its field names plus one plain list per field.
-    Pickling a few long lists of floats is an order of magnitude faster
-    than pickling one object per row, and every value is kept as it is,
-    so bools, ``None``, NaN and -0.0 bit patterns and enum members
-    round-trip exactly.  An empty table is stored as it is.
-    """
-    if not rows:
-        return []
-    names = tuple(f.name for f in fields(row_class))
-    return {
-        "fields": names,
-        "columns": [list(map(attrgetter(name), rows)) for name in names],
-    }
-
-
-def rows_from_columns(encoded: Any, row_class: type, table: str) -> List[Any]:
-    """Rebuild the rows :func:`rows_to_columns` encoded.
-
-    The row class comes from the caller's schema, never from the
-    payload, and rows are built with ``row_class(*fields)`` so its
-    ``__post_init__`` validation runs on every row.  Raises
-    :class:`CheckpointError` when the stored field names are not this
-    build's.
-    """
-    if encoded == []:
-        return []
-    names = tuple(f.name for f in fields(row_class))
-    found = tuple(encoded["fields"]) if isinstance(encoded, dict) else None
-    if found != names:
-        raise CheckpointError(
-            f"snapshot table {table!r} has fields {found}; this build's "
-            f"{row_class.__name__} has {names}"
-        )
-    return list(map(row_class, *encoded["columns"]))
-
-
 @dataclass
 class MetricsCollector:
-    """Accumulates everything a Willow evaluation reports."""
+    """Accumulates everything a Willow evaluation reports.
 
-    server_samples: List[ServerSample] = field(default_factory=list)
-    switch_samples: List[SwitchSample] = field(default_factory=list)
-    migrations: List[Migration] = field(default_factory=list)
-    drops: List[Drop] = field(default_factory=list)
+    Every dataclass-row series is a :class:`~repro.metrics.table.Table`
+    (rows passed in as lists are converted); ``imbalance`` stays a list
+    of ``(time, watts)`` tuples.
+    """
+
+    server_samples: Table = field(default_factory=list)
+    switch_samples: Table = field(default_factory=list)
+    migrations: Table = field(default_factory=list)
+    drops: Table = field(default_factory=list)
     #: Deficit demand the matcher could not place (the VM stays on its
     #: host and runs degraded; actual unserved watts appear in `drops`).
-    unmatched_deficits: List[Drop] = field(default_factory=list)
-    messages: List[ControlMessage] = field(default_factory=list)
+    unmatched_deficits: Table = field(default_factory=list)
+    messages: Table = field(default_factory=list)
     imbalance: List[tuple] = field(default_factory=list)  # (time, watts)
     #: Physical-plant fault transitions (crashes, sensor quarantines,
     #: circuit trips, cooling events and their recoveries).
-    plant_events: List[PlantEvent] = field(default_factory=list)
+    plant_events: Table = field(default_factory=list)
     #: Forwarding sink for the observability layer: drops, unmatched
     #: deficits, plant events and the imbalance residual also land in
     #: the owning controller's open trace frame.  Not a record series
-    #: (excluded from export/round-trip by not being a list field).
+    #: (excluded from export/round-trip by not being a table or list).
     tracer: Tracer = field(default=NULL_TRACER, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for name, row_class in _TABLES.items():
+            rows = getattr(self, name)
+            if row_class is not None and not isinstance(rows, Table):
+                setattr(self, name, Table(row_class, rows))
 
     # -- recording ---------------------------------------------------------
     def record_server(self, sample: ServerSample) -> None:
@@ -142,6 +112,12 @@ class MetricsCollector:
     def record_message(self, message: ControlMessage) -> None:
         self.messages.append(message)
 
+    def record_messages(self, time: float, links: Sequence[int], upward: bool) -> None:
+        """One message per link in ``links``, all sent at ``time`` in one
+        direction: a tick's demand reports or budget grants."""
+        count = len(links)
+        self.messages.append_columns([time] * count, links, [upward] * count)
+
     def record_imbalance(self, time: float, watts: float) -> None:
         self.imbalance.append((time, watts))
         if self.tracer.enabled:
@@ -154,12 +130,12 @@ class MetricsCollector:
 
     # -- checkpointing -------------------------------------------------------
     def state_dict(self) -> Dict[str, Any]:
-        """Every recorded table, dataclass tables encoded as columns."""
+        """Every recorded table: a copy of each :class:`Table`'s columns
+        (:meth:`Table.state`), ``imbalance`` as a list of tuples."""
         return {
             name: (
-                list(getattr(self, name))
-                if row_class is None
-                else rows_to_columns(getattr(self, name), row_class)
+                list(self.imbalance) if row_class is None
+                else getattr(self, name).state()
             )
             for name, row_class in _TABLES.items()
         }
@@ -169,22 +145,25 @@ class MetricsCollector:
 
         The tables are refilled in place, so references held elsewhere
         stay valid; a table the snapshot lacks comes back empty.
+        Nothing is replaced unless every table loads.
         """
         unknown = sorted(set(state) - set(_TABLES))
         if unknown:
             raise CheckpointError(
                 f"snapshot has collector tables this build does not know: {unknown}"
             )
-        tables = {
-            name: (
-                list(state.get(name, []))
-                if row_class is None
-                else rows_from_columns(state.get(name, []), row_class, name)
-            )
-            for name, row_class in _TABLES.items()
-        }
-        for name, rows in tables.items():
-            getattr(self, name)[:] = rows
+        loaded = {}
+        for name, row_class in _TABLES.items():
+            if row_class is None:
+                loaded[name] = list(state.get(name, []))
+            else:
+                loaded[name] = Table(row_class)
+                loaded[name].load(state.get(name, []), name)
+        for name, rows in loaded.items():
+            if isinstance(rows, Table):
+                getattr(self, name).columns = rows.columns
+            else:
+                getattr(self, name)[:] = rows
 
     # -- plant faults --------------------------------------------------------
     def plant_event_counts(self) -> Dict[str, int]:
@@ -201,17 +180,11 @@ class MetricsCollector:
     # -- server series -------------------------------------------------------
     def server_ids(self) -> List[int]:
         """Distinct server ids, sorted."""
-        return sorted({s.server_id for s in self.server_samples})
+        return sorted(set(self.server_samples.column("server_id")))
 
     def server_series(self, server_id: int, attribute: str) -> np.ndarray:
         """Time-ordered values of ``attribute`` for one server."""
-        return np.array(
-            [
-                getattr(s, attribute)
-                for s in self.server_samples
-                if s.server_id == server_id
-            ]
-        )
+        return _series(self.server_samples, "server_id", server_id, attribute)
 
     def mean_server(self, server_id: int, attribute: str) -> float:
         """Run-average of ``attribute`` for one server."""
@@ -222,11 +195,11 @@ class MetricsCollector:
 
     def times(self) -> np.ndarray:
         """Distinct sample times, sorted."""
-        return np.unique([s.time for s in self.server_samples])
+        return np.unique(self.server_samples.column("time"))
 
     def total_energy(self) -> float:
         """Sum of server power over all samples (W * ticks)."""
-        return float(sum(s.power for s in self.server_samples))
+        return float(sum(self.server_samples.column("power")))
 
     # -- migrations ----------------------------------------------------------
     def migrations_by_cause(self, cause: MigrationCause) -> List[Migration]:
@@ -236,9 +209,6 @@ class MetricsCollector:
         if cause is None:
             return len(self.migrations)
         return len(self.migrations_by_cause(cause))
-
-    def migration_times(self) -> np.ndarray:
-        return np.array([m.time for m in self.migrations])
 
     def migrations_per_tick(self, horizon: float) -> np.ndarray:
         """Histogram of migration counts per unit-time bucket."""
@@ -257,29 +227,22 @@ class MetricsCollector:
 
     # -- drops -----------------------------------------------------------------
     def total_dropped_power(self) -> float:
-        return float(sum(d.power for d in self.drops))
+        return float(sum(self.drops.column("power")))
 
     def total_unmatched_power(self) -> float:
         """Deficit watts left degrading in place (never placed elsewhere)."""
-        return float(sum(d.power for d in self.unmatched_deficits))
+        return float(sum(self.unmatched_deficits.column("power")))
 
     # -- switches ----------------------------------------------------------------
     def switch_ids(self, level: Optional[int] = None) -> List[int]:
-        ids = {
-            s.switch_id
-            for s in self.switch_samples
-            if level is None or s.level == level
-        }
-        return sorted(ids)
+        samples = self.switch_samples
+        ids = samples.column("switch_id")
+        if level is not None:
+            ids = [i for i, lv in zip(ids, samples.column("level")) if lv == level]
+        return sorted(set(ids))
 
     def switch_series(self, switch_id: int, attribute: str) -> np.ndarray:
-        return np.array(
-            [
-                getattr(s, attribute)
-                for s in self.switch_samples
-                if s.switch_id == switch_id
-            ]
-        )
+        return _series(self.switch_samples, "switch_id", switch_id, attribute)
 
     def mean_switch(self, switch_id: int, attribute: str) -> float:
         series = self.switch_series(switch_id, attribute)
@@ -291,13 +254,21 @@ class MetricsCollector:
     def messages_per_link_per_tick(self) -> Dict[tuple, int]:
         """Max message count observed on any (link, tick) pair, per link."""
         counts: Dict[tuple, int] = {}
-        for msg in self.messages:
-            key = (msg.link, msg.time)
+        messages = self.messages
+        for key in zip(messages.column("link"), messages.column("time")):
             counts[key] = counts.get(key, 0) + 1
         worst: Dict[tuple, int] = {}
         for (link, _time), count in counts.items():
             worst[link] = max(worst.get(link, 0), count)
         return worst
+
+
+def _series(table: Table, key: str, wanted: int, attribute: str) -> np.ndarray:
+    """Row-ordered ``attribute`` values of the rows whose ``key`` is ``wanted``."""
+    values = table.column(attribute)
+    return np.array(
+        [v for k, v in zip(table.column(key), values) if k == wanted]
+    )
 
 
 #: Row class of every recorded table of :class:`MetricsCollector`;

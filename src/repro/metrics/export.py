@@ -8,9 +8,10 @@ users (plotting, spreadsheets, other languages) get flat files:
 * :func:`load_json` -- round-trip loader (returns plain dicts/lists).
 
 The table set is derived from :class:`MetricsCollector`'s dataclass
-fields (:func:`record_tables`), not hand-listed: every list-valued
-field exports, so adding a record series to the collector automatically
-adds its table here.  (A hand-written table list once silently dropped
+fields (:func:`record_tables`), not hand-listed: every
+:class:`~repro.metrics.table.Table` or list field exports, so adding a
+record series to the collector automatically adds its table here.  (A
+hand-written table list once silently dropped
 ``unmatched_deficits`` and ``plant_events`` -- the whole fault
 telemetry of a run; ``tests/test_metrics_export.py`` now asserts the
 field-to-table coverage introspectively.)
@@ -25,6 +26,7 @@ from pathlib import Path
 from typing import Any, Dict, List
 
 from repro.metrics.collector import MetricsCollector
+from repro.metrics.table import Table
 
 __all__ = ["export_csv", "export_json", "load_json", "record_tables"]
 
@@ -39,33 +41,29 @@ _TUPLE_COLUMNS = {"imbalance": ("time", "imbalance_watts")}
 def record_tables(collector: MetricsCollector) -> Dict[str, list]:
     """Every record series of the collector, keyed by exported name.
 
-    Introspects the dataclass: all list-valued fields are record series
-    (non-list fields, like the forwarding tracer, are not).
+    Introspects the dataclass: all table- and list-valued fields are
+    record series (others, like the forwarding tracer, are not).
     """
     tables: Dict[str, list] = {}
     for field in dataclasses.fields(type(collector)):
         value = getattr(collector, field.name)
-        if not isinstance(value, list):
+        if not isinstance(value, (Table, list)):
             continue
         tables[_TABLE_NAMES.get(field.name, field.name)] = value
     return tables
 
 
-def _normalise(record: Dict[str, Any]) -> Dict[str, Any]:
-    out = {}
-    for key, value in record.items():
-        if hasattr(value, "value"):  # enums
-            out[key] = value.value
-        else:
-            out[key] = value
-    return out
+def _plain(column: list) -> list:
+    """Enum members as their values; every other value as it is."""
+    return [v.value if hasattr(v, "value") else v for v in column]
 
 
-def _table_rows(name: str, records: list) -> List[Dict[str, Any]]:
-    if name in _TUPLE_COLUMNS:
-        columns = _TUPLE_COLUMNS[name]
-        return [dict(zip(columns, record)) for record in records]
-    return [_normalise(dataclasses.asdict(r)) for r in records]
+def _table_rows(name: str, records) -> List[Dict[str, Any]]:
+    if isinstance(records, Table):
+        names, rows = records.fields, zip(*map(_plain, records.columns))
+    else:
+        names, rows = _TUPLE_COLUMNS[name], records
+    return [dict(zip(names, row)) for row in rows]
 
 
 def export_csv(collector: MetricsCollector, directory) -> Dict[str, Path]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -72,7 +72,7 @@ def summarize_run(collector: MetricsCollector) -> RunSummary:
         sum(collector.mean_server(i, "power") for i in server_ids)
     )
     peak_temperature = float(
-        max(s.temperature for s in collector.server_samples)
+        max(collector.server_samples.column("temperature"))
     )
     local_fraction = collector.local_fraction()
     return RunSummary(
@@ -89,7 +89,7 @@ def summarize_run(collector: MetricsCollector) -> RunSummary:
         ),
         dropped_power=collector.total_dropped_power(),
         asleep_fraction=float(
-            np.mean([s.asleep for s in collector.server_samples])
+            np.mean(collector.server_samples.column("asleep"))
         ),
         unmatched_count=len(collector.unmatched_deficits),
         unmatched_watts=collector.total_unmatched_power(),
@@ -129,9 +129,7 @@ def mean_by_switch_level(
 
 def fleet_mean(collector: MetricsCollector, attribute: str) -> float:
     """Average of a server attribute over all servers and ticks."""
-    values: List[float] = [
-        getattr(s, attribute) for s in collector.server_samples
-    ]
+    values = collector.server_samples.column(attribute)
     if not values:
         raise ValueError("no server samples recorded")
     return float(np.mean(values))

@@ -49,6 +49,6 @@ def verify_message_bound(collector: MetricsCollector, bound: int = 2) -> bool:
 
 def messages_per_direction(collector: MetricsCollector) -> Dict[str, int]:
     """Total upward (demand reports) vs downward (budget directives)."""
-    up = sum(1 for m in collector.messages if m.upward)
+    up = sum(1 for upward in collector.messages.column("upward") if upward)
     down = len(collector.messages) - up
     return {"upward": up, "downward": down}

@@ -508,20 +508,14 @@ def decision_digest(collector: MetricsCollector) -> str:
             h.update(repr(row).encode())
             h.update(b"\n")
 
-    feed(
-        "servers",
-        (
-            (s.time, s.server_id, s.power, s.temperature, s.utilization,
-             s.demand, s.budget, s.asleep)
-            for s in collector.server_samples
-        ),
-    )
+    # Every ServerSample field in order; switch samples without level.
+    feed("servers", zip(*collector.server_samples.columns))
+    switches = collector.switch_samples
     feed(
         "switches",
-        (
-            (s.time, s.switch_id, s.base_traffic, s.migration_traffic, s.power)
-            for s in collector.switch_samples
-        ),
+        zip(*(switches.column(name) for name in (
+            "time", "switch_id", "base_traffic", "migration_traffic", "power",
+        ))),
     )
     feed(
         "migrations",

@@ -104,6 +104,10 @@ class TraceReader:
                 current.frames.append(frame)
         if not self.runs:
             raise ValueError(f"{path}: no meta frame; not a Willow trace")
+        if not -len(self.runs) <= run < len(self.runs):
+            raise ValueError(
+                f"{path}: no run {run}; the file holds {len(self.runs)} run(s)"
+            )
         self.run = self.runs[run]
 
     # ------------------------------------------------------------- plumbing

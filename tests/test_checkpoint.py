@@ -16,6 +16,7 @@ import json
 import math
 import os
 import pickle
+import shutil
 import struct
 import subprocess
 import sys
@@ -47,6 +48,7 @@ from repro.core.events import (
 )
 from repro.core.vectorized import VectorizedWillowController
 from repro.metrics.collector import MetricsCollector, ServerSample, SwitchSample
+from repro.metrics.table import Table
 from repro.power import constant_supply
 from repro.sim import RandomStreams
 from repro.service.simulation import (
@@ -488,7 +490,7 @@ def exact(rows):
 RECORD_TABLES = [
     name
     for name, default in vars(MetricsCollector()).items()
-    if isinstance(default, list)
+    if isinstance(default, (Table, list))
 ]
 
 
@@ -523,10 +525,16 @@ def _renamed_field(collector):
     collector["server_samples"]["fields"] = ("when",) + tuple(fields[1:])
 
 
+def _ragged_column(collector):
+    columns = collector["server_samples"]["columns"]
+    columns[2] = columns[2][:1]
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [(_unknown_table, "does not know: \\['bogus'\\]"),
-     (_renamed_field, "'server_samples' has fields")],
+     (_renamed_field, "'server_samples' has fields"),
+     (_ragged_column, "'server_samples' has ragged columns")],
 )
 def test_restore_rejects_foreign_collector_schema(corrupt, message):
     first = build_controller(seed=2)
@@ -851,6 +859,24 @@ def test_cli_checkpoint_resume_vectorized(tmp_path, capsys):
     )
     assert main(["resume", str(ckpt), "--at", "7"]) == 0
     assert digest in capsys.readouterr().out
+
+
+#: v2 checkpoints written by a build whose collector still kept its
+#: rows as objects in memory, with the digest each resumed run printed
+#: then (``checkpoint DIR --ticks 12 --seed 7 --every 5 --keep 1``,
+#: scalar and ``--vectorized``).  Resuming them pins the on-disk format.
+RECORDED = Path(__file__).parent / "data" / "checkpoint"
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vectorized"])
+def test_cli_resumes_recorded_checkpoint(kind, tmp_path, capsys):
+    expected = json.loads((RECORDED / "digests.json").read_text())[kind]
+    ckpt = tmp_path / kind
+    shutil.copytree(RECORDED / kind, ckpt)
+    assert main(["resume", str(ckpt)]) == 0
+    out = capsys.readouterr().out
+    assert "resumed from checkpoint at tick 10" in out
+    assert f"decision digest: {expected}" in out
 
 
 def test_cli_resume_skips_corrupt_and_matches(tmp_path, capsys):

@@ -125,12 +125,13 @@ def test_export_json_covers_every_collector_list_field(tmp_path, run_data):
 
     from repro.metrics import MetricsCollector
     from repro.metrics.export import record_tables
+    from repro.metrics.table import Table
 
     _, collector = run_data
     list_fields = [
         f.name
         for f in dataclasses.fields(MetricsCollector)
-        if isinstance(getattr(collector, f.name), list)
+        if isinstance(getattr(collector, f.name), (Table, list))
     ]
     tables = record_tables(collector)
     assert len(tables) == len(list_fields)

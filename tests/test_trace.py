@@ -401,6 +401,23 @@ def test_cli_trace_rejects_missing_file(tmp_path, capsys):
     assert "trace:" in capsys.readouterr().err
 
 
+def test_run_index_past_the_file_names_its_run_count(tmp_path, capsys):
+    from repro import cli
+
+    path = tmp_path / "one.trace"
+    with tracing(path):
+        run_willow(n_ticks=2, seed=SEED)
+    with pytest.raises(ValueError, match="no run 5; the file holds 1 run"):
+        TraceReader(path, run=5)
+    assert len(TraceReader(path, run=-1).run.frames) == 2
+    assert len(TraceReader(path, run=0).run.frames) == 2
+
+    assert cli.main(["trace", str(path), "--run", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "the file holds 1 run(s)" in err
+
+
 # ------------------------------------------------------- batched federation
 def _traced_federation(batched):
     """A 2-site solar federation over vectorized site controllers,

@@ -154,10 +154,13 @@ class TestVectorizedControllerGuards:
         assert isinstance(controller, VectorizedWillowController)
 
     def test_tick_leaves_no_deferred_work(self):
-        """Rows are built inside the tick, and a finished controller is
-        freed by reference counting (no controller/segment cycle)."""
+        """Samples are recorded as columns inside the tick, and a
+        finished controller is freed by reference counting (no
+        controller/segment cycle)."""
         import gc
         import weakref
+
+        from repro.metrics.table import Table
 
         controller, collector = run_willow(n_ticks=3, vectorized=True)
         for rows in (
@@ -165,7 +168,8 @@ class TestVectorizedControllerGuards:
             collector.switch_samples,
             collector.messages,
         ):
-            assert type(rows) is list
+            assert type(rows) is Table
+            assert all(type(column) is list for column in rows.columns)
         ref = weakref.ref(controller)
         enabled = gc.isenabled()
         gc.disable()
